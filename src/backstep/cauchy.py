@@ -17,21 +17,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import ResonanceError, SingularMatrixError
+from .errors import CertificationError, ResonanceError, SingularMatrixError
 from .spectrum import SpectrumModel
 
 _IMAG_TOL = 1e-13  # self-adjoint outputs must be real to this tolerance
 
 
-def csum(values: Iterable[complex]) -> complex:
-    """Exactly rounded sum (Shewchuk) of real or complex values."""
-    vals = list(values)
-    re = math.fsum(v.real for v in vals)
-    im = math.fsum(v.imag for v in vals)
+def csum(values: Sequence[complex] | np.ndarray) -> complex:
+    """Exactly rounded sum (Shewchuk) of real or complex values, in any order."""
+    arr = np.asarray(values)
+    re = math.fsum(arr.real.tolist())
+    im = math.fsum(arr.imag.tolist()) if np.iscomplexobj(arr) else 0.0
     return complex(re, im) if im != 0.0 else re
 
 
@@ -158,9 +158,14 @@ def explicit_inverse(sys: CauchySystem) -> np.ndarray:
     Entry (i, j) = lambda^2/(lambda_j - lambda_i - lambda) * P_i * Q_j; the
     empty products at N = 1 are 1, so the single entry is -lambda.
     """
+    return _inverse_from_products(sys, lagrange_products(sys))
+
+
+def _inverse_from_products(sys: CauchySystem, products) -> np.ndarray:
+    """`explicit_inverse` from the already evaluated `lagrange_products(sys)`."""
     sep = _separations(sys)
     _guard(sys, sep)
-    log_p, sgn_p, log_q, sgn_q = lagrange_products(sys)
+    log_p, sgn_p, log_q, sgn_q = products
     lam = sys.lam
     # lambda_j - lambda_i - lambda = -(x_i - y_j) transposed: x_j - y_i
     pref = sep.T
@@ -175,7 +180,8 @@ def _realized(sys: CauchySystem, mat: np.ndarray) -> np.ndarray:
     if np.isrealobj(sys.x) or np.all(sys.x.imag == 0.0):
         scale = float(np.max(np.abs(mat))) or 1.0
         worst = float(np.max(np.abs(mat.imag)))
-        assert worst <= _IMAG_TOL * scale, f"imaginary residue {worst} on real path"
+        if worst > _IMAG_TOL * scale:
+            raise CertificationError(f"imaginary residue {worst} on real path (scale {scale})")
         return mat.real.copy()
     return mat
 

@@ -25,7 +25,7 @@ from .cauchy import CauchySystem, LogSignedProduct, csum, lagrange_products
 from .errors import MathGuardError
 from .spectrum import Kind, SpectrumModel, dist_alpha, mu_candidates, select_mu
 from . import transform
-from .transform import assemble, feedback_gains_rowsum, spectral_norm, weighted_norm
+from .transform import assemble, spectral_norm, weighted_norm
 
 
 def eval_F(model: SpectrumModel, n: int, lam: float, N: int) -> LogSignedProduct:
@@ -53,8 +53,8 @@ def eval_J(model: SpectrumModel, n: int, lam: float, N: int) -> complex:
     """Truncated telescoping sum J_n^N; exactly 1 in real arithmetic.
 
     Robust for any lambda (including 0 and resonant values): each term is the
-    ratio of two degree-(N-1) products evaluated in the log domain, summed by
-    increasing |j - n| with exact rounding.
+    ratio of two degree-(N-1) products evaluated in the log domain, summed
+    with exact rounding.
     """
     if not 1 <= n <= N:
         raise ValueError("mode index out of range")
@@ -67,8 +67,7 @@ def eval_J(model: SpectrumModel, n: int, lam: float, N: int) -> complex:
         q = LogSignedProduct.from_factors(den)
         ratio = LogSignedProduct(p.log_magnitude - q.log_magnitude, p.sign * np.conj(q.sign))
         terms[j] = ratio.value()
-    order = np.argsort(np.abs(np.arange(N) - (n - 1)), kind="stable")
-    return csum(terms[order])
+    return csum(terms)
 
 
 def all_J(model: SpectrumModel, lam: float, N: int) -> np.ndarray:
@@ -95,12 +94,7 @@ def all_J(model: SpectrumModel, lam: float, N: int) -> np.ndarray:
     sgn_terms = sgn_r[:, None] * np.conj(sgn_d[:, None]) * np.conj(shift / np.abs(shift))
     terms = sgn_terms * np.exp(log_terms)
 
-    out = np.empty(N, dtype=complex)
-    idx = np.arange(N)
-    for n in range(N):
-        order = np.argsort(np.abs(idx - n), kind="stable")
-        out[n] = csum(terms[order, n])
-    return out
+    return np.array([csum(col) for col in terms.T], dtype=complex)
 
 
 def linear_fit(x, y) -> tuple[float, float, float] | None:
@@ -268,12 +262,11 @@ def _sweep_point(model: SpectrumModel, base: int, trunc: int, s_weights) -> Cost
         _, M_N, _ = mu_candidates(model, base)
     synth = assemble(model, mu, trunc, cert)
 
-    rowsum = feedback_gains_rowsum(model, mu, trunc, cert)
+    rowsum = transform._rowsum_gains(model, mu, synth.cauchy_inv)
     gap = np.abs(rowsum.values - synth.k)
     bar = rowsum.roundoff + transform._term_relerr(trunc) * np.abs(synth.k)
 
-    log_f, _ = _all_F(model, mu, trunc)
-    depth = probe_depth(mu, model.alpha, trunc)
+    log_f = synth.log_f[:probe_depth(mu, model.alpha, trunc)]
     norms_s = {s: (weighted_norm(synth, synth.T_mat, s), weighted_norm(synth, synth.Tinv_mat, s))
                for s in s_weights}
     return CostReport(
@@ -282,21 +275,20 @@ def _sweep_point(model: SpectrumModel, base: int, trunc: int, s_weights) -> Cost
         norms_s=norms_s,
         k_sup=float(np.max(np.abs(synth.k))), k_inf=float(np.min(np.abs(synth.k))),
         kb_inf=float(np.min(np.abs(synth.kb))),
-        F_sup=float(np.exp(np.max(log_f[:depth]))), F_inf=float(np.exp(np.min(log_f[:depth]))),
+        F_sup=float(np.exp(np.max(log_f))), F_inf=float(np.exp(np.min(log_f))),
         tb_max=synth.tb_residual_max,
         cross_gap=float(np.max(gap)), cross_bar=float(np.max(bar)))
 
 
 def cost_sweep(model: SpectrumModel, bases, trunc: int,
-               s_weights=None) -> SweepResult:
+               s_weights=()) -> SweepResult:
     """Full synthesis at the certified damping parameter of each base N.
 
     Resonance or certification alarms skip the point and continue.  The
     fitted exponent is the OLS slope of log(norm T + norm T^-1) against
-    lambda^(1/alpha) over the surviving points.
+    lambda^(1/alpha) over the surviving points.  Weighted norms `norms_s`
+    are computed only for the exponents in `s_weights`.
     """
-    if s_weights is None:
-        s_weights = (0.25, 0.45) if model.alpha == 2.0 else ()
     bases = list(bases)
     if not bases:
         raise ValueError("empty sweep range")

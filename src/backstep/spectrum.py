@@ -295,6 +295,10 @@ def dist_alpha(model: SpectrumModel, lam: float,
     n_cap = int(((lam + 2.0 * c) / c) ** (1.0 / (model.alpha - 1.0))) + 2
     if n_cap > index_limit:
         raise ValueError(f"enumeration bound {n_cap} exceeds index limit {index_limit}")
+    if model.tabulated and n_cap > model.n_max:
+        raise CertificationError(
+            f"Dist_alpha({lam}) needs levels up to index {n_cap}, but the tabulated spectrum "
+            f"has {model.n_max}; a certificate would cover only the tabulated modes")
 
     best = lam
     witness = (1, 1)

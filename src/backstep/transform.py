@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cauchy import (CauchySystem, build_cauchy, csum, explicit_inverse,
-                     lagrange_products, tail_log_bound)
+from .cauchy import (CauchySystem, _inverse_from_products, build_cauchy, csum,
+                     explicit_inverse, lagrange_products, tail_log_bound)
 from .errors import CertificationError, GainFloorError
 from .spectrum import DistCertificate, SpectrumModel, dist_alpha
 
@@ -64,21 +64,20 @@ def feedback_gains_rowsum(model: SpectrumModel, lam: float, N: int,
                           cert: DistCertificate | None = None) -> GainEstimate:
     """k_n = (sum_j explicit-inverse row n) / b_n.
 
-    Terms are summed by increasing |j - n| with exactly rounded accumulation;
-    the roundoff bar carries the absolute row mass, which is what limits this
-    route at large lambda.
+    Each row is summed with exactly rounded accumulation; the roundoff bar
+    carries the absolute row mass, which is what limits this route at large
+    lambda.
     """
     cert = _certify(model, lam, cert)
-    sys = CauchySystem.from_model(model, lam, N, cert)
-    inv = explicit_inverse(sys)
+    return _rowsum_gains(model, lam, explicit_inverse(CauchySystem.from_model(model, lam, N, cert)))
+
+
+def _rowsum_gains(model: SpectrumModel, lam: float, inv: np.ndarray) -> GainEstimate:
+    """Row-sum gains from the explicit inverse `inv` of an N-truncation."""
+    N = inv.shape[0]
     b = model.b[:N]
-    kb = np.empty(N, dtype=inv.dtype)
-    bars = np.empty(N)
-    rel = _term_relerr(N)
-    for n in range(N):
-        order = np.argsort(np.abs(np.arange(N) - n), kind="stable")
-        kb[n] = csum(inv[n, order])
-        bars[n] = rel * float(np.sum(np.abs(inv[n])))
+    kb = np.array([csum(row) for row in inv], dtype=inv.dtype)
+    bars = _term_relerr(N) * np.array([np.sum(np.abs(row)) for row in inv])
     _check_nonzero(kb, "row-sum")
     return GainEstimate(values=kb / b, roundoff=bars / b,
                         tail_log=_tail_log(model, lam, N), route="rowsum")
@@ -93,8 +92,14 @@ def feedback_gains_product(model: SpectrumModel, lam: float, N: int,
     relative error and no cancellation.
     """
     cert = _certify(model, lam, cert)
-    sys = CauchySystem.from_model(model, lam, N, cert)
-    log_f, sgn_f, _, _ = lagrange_products(sys)
+    log_f, sgn_f, _, _ = lagrange_products(CauchySystem.from_model(model, lam, N, cert))
+    return _product_gains(model, lam, log_f, sgn_f)
+
+
+def _product_gains(model: SpectrumModel, lam: float, log_f: np.ndarray,
+                   sgn_f: np.ndarray) -> GainEstimate:
+    """Product-route gains from the log-signed gain products F_n, n <= N."""
+    N = log_f.size
     kb = -lam * sgn_f * np.exp(log_f)
     if np.all(kb.imag == 0.0):
         kb = kb.real.copy()
@@ -144,6 +149,7 @@ class BacksteppingSynthesis:
     cauchy_inv: np.ndarray
     tb_residuals: np.ndarray
     gain_tail_log: float
+    log_f: np.ndarray        # log|F_n| of the gain products, n <= N
 
     @property
     def eigenvalues(self) -> np.ndarray:
@@ -166,13 +172,7 @@ def tb_residual(synth: BacksteppingSynthesis, j: int) -> float:
 
 
 def _tb_residuals(cauchy_mat: np.ndarray, kb: np.ndarray) -> np.ndarray:
-    N = kb.size
-    out = np.empty(N)
-    for j in range(N):
-        order = np.argsort(np.abs(np.arange(N) - j), kind="stable")
-        terms = cauchy_mat[j, order] * kb[order]
-        out[j] = abs(csum(terms) - 1.0)
-    return out
+    return np.array([abs(csum(row) - 1.0) for row in cauchy_mat * kb[None, :]])
 
 
 def assemble(model: SpectrumModel, lam: float, N: int,
@@ -188,8 +188,9 @@ def assemble(model: SpectrumModel, lam: float, N: int,
     cert = _certify(model, lam, cert)
     sys = CauchySystem.from_model(model, lam, N, cert)
     cmat = build_cauchy(sys)
-    cinv = explicit_inverse(sys)
-    gains = feedback_gains_product(model, lam, N, cert)
+    products = lagrange_products(sys)
+    cinv = _inverse_from_products(sys, products)
+    gains = _product_gains(model, lam, products[0], products[1])
     k = gains.values
     b = model.b[:N]
     kb = k * b
@@ -202,7 +203,8 @@ def assemble(model: SpectrumModel, lam: float, N: int,
     synth = BacksteppingSynthesis(model=model, lam=float(lam), N=N, cert=cert,
                                   b=b, k=k, kb=kb, T_mat=T, Tinv_mat=Tinv,
                                   cauchy_mat=cmat, cauchy_inv=cinv,
-                                  tb_residuals=tb, gain_tail_log=gains.tail_log)
+                                  tb_residuals=tb, gain_tail_log=gains.tail_log,
+                                  log_f=products[0])
     resid = inverse_residual(synth)
     if resid > _ASSEMBLY_TOL:
         raise CertificationError(f"T . T^-1 residual {resid} exceeds assembly tolerance")
@@ -288,7 +290,7 @@ DENSE_SVD_LIMIT = 512
 
 
 def spectral_norm(mat: np.ndarray, rel_tol: float = 1e-10, max_iter: int = 10_000) -> float:
-    """Largest singular value: dense SVD up to 512, power iteration beyond."""
+    """Largest singular value: dense SVD up to 512, converged power iteration beyond."""
     n = mat.shape[0]
     if n <= DENSE_SVD_LIMIT:
         return float(np.linalg.svd(mat, compute_uv=False)[0])
@@ -299,10 +301,11 @@ def spectral_norm(mat: np.ndarray, rel_tol: float = 1e-10, max_iter: int = 10_00
         x = mat.conj().T @ y
         sigma = math.sqrt(float(np.linalg.norm(x)))
         if abs(sigma - prev) <= rel_tol * sigma:
-            break
+            return sigma
         prev = sigma
         x = x / np.linalg.norm(x)
-    return sigma
+    raise CertificationError(f"power iteration for the {n}x{n} spectral norm "
+                             f"did not converge in {max_iter} steps")
 
 
 def weighted_norm(synth: BacksteppingSynthesis, mat: np.ndarray, s: float) -> float:

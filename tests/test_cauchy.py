@@ -7,7 +7,7 @@ from backstep.cauchy import (CauchySystem, LogSignedProduct, build_cauchy, csum,
                              explicit_inverse, format_scalar, oracle_inverse,
                              parse_scalar, read_matrix_csv, tail_log_bound,
                              truncation_entry_bar, write_matrix_csv)
-from backstep.errors import ResonanceError, SingularMatrixError
+from backstep.errors import CertificationError, ResonanceError, SingularMatrixError
 from backstep.spectrum import Kind, dist_alpha, make_spectrum
 
 
@@ -151,6 +151,13 @@ def test_csum_exact():
     vals = [1e16, 1.0, -1e16, 1.0]
     assert csum(vals) == 2.0
     assert csum([1 + 2j, 1e16j, -1e16j]) == 1 + 2j
+    # exact rounding: any permutation of the terms gives the same bits
+    rng = np.random.default_rng(11)
+    re = rng.standard_normal(301) * 10.0 ** rng.integers(-12, 13, 301)
+    cx = re + 1j * rng.permutation(re)
+    for arr in (re, cx):
+        for _ in range(5):
+            assert csum(rng.permutation(arr)) == csum(arr)
 
 
 def test_scalar_format_roundtrip():
@@ -169,3 +176,28 @@ def test_matrix_csv_roundtrip(tmp_path):
     p2 = tmp_path / "cplx.csv"
     write_matrix_csv(Z, p2)
     assert np.array_equal(read_matrix_csv(p2), Z)
+
+
+def test_realized_rejects_imaginary_residue():
+    from backstep.cauchy import _IMAG_TOL, _realized
+    sysm = CauchySystem.from_model(heat(), 0.5, 2)
+    ok = np.array([[1.0 + 0.5 * _IMAG_TOL * 1j, 2.0]])
+    assert np.array_equal(_realized(sysm, ok), [[1.0, 2.0]])
+    with pytest.raises(CertificationError, match="imaginary residue"):
+        _realized(sysm, np.array([[1.0 + 4.0 * _IMAG_TOL * 1j, 0.0]]))
+
+
+def test_realized_guard_survives_optimize_flag():
+    import os
+    import subprocess
+    import sys
+    import backstep
+    code = ("import numpy as np; from backstep.cauchy import CauchySystem, _realized; "
+            "from backstep.spectrum import make_spectrum; "
+            "s = CauchySystem.from_model(make_spectrum('self_adjoint', 2.0, 1.0, 4), 0.5, 2); "
+            "_realized(s, np.array([[1.0 + 1e-6j]]))")
+    src = os.path.dirname(os.path.dirname(backstep.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode != 0 and "CertificationError" in proc.stderr

@@ -33,6 +33,14 @@ def test_spectrum_check_degenerate_model_exits_3(tmp_path):
     assert run(tmp_path, "spectrum-check", "--model", "bad.json") == 3
 
 
+def test_tabulated_spectrum_past_table_exits_3(tmp_path, capsys):
+    tab = make_tabulated(Kind.SELF_ADJOINT, 2.0, [-float(n * n) for n in range(1, 9)])
+    (tmp_path / "tab.json").write_text(model_to_json(tab))
+    for lam in ("20.5", "19.5"):
+        assert run(tmp_path, "synth", "--model", "tab.json", "--lambda", lam, "--trunc", "8") == 3
+        assert "only the tabulated modes" in capsys.readouterr().err
+
+
 def test_malformed_model_exits_2(tmp_path):
     (tmp_path / "junk.json").write_text("{not json")
     assert run(tmp_path, "synth", "--model", "junk.json") == 2

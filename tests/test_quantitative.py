@@ -9,7 +9,7 @@ from backstep.quantitative import (all_J, bound_check_products, bound_check_sums
                                    lower_bound_check_F, probe_depth, sweep_to_csv,
                                    thread_cap)
 from backstep.spectrum import Kind, make_spectrum, select_mu
-from backstep.transform import feedback_gains_product, feedback_gains_rowsum
+from backstep.transform import assemble, feedback_gains_product, feedback_gains_rowsum
 
 
 def heat(n_max=64):
@@ -107,7 +107,7 @@ def test_probe_depth():
 
 def test_cost_sweep_small():
     m = make_spectrum(Kind.SELF_ADJOINT, 2.0, 1.0, 96)
-    res = cost_sweep(m, range(1, 7), 80)
+    res = cost_sweep(m, range(1, 7), 80, s_weights=(0.25, 0.45))
     assert len(res.points) == 6 and not res.skipped
     assert res.r2 >= 0.9 and res.slope > 0
     for p in res.points:
@@ -212,3 +212,31 @@ def test_inverse_row_sums_scale():
     assert 0.0 <= slope < 10.0
     for x, y in zip(xs, ys):
         assert y <= slope * x + intercept + shift + 1e-12
+
+
+def test_one_product_evaluation_per_synthesis(monkeypatch):
+    import backstep.cauchy as c
+    import backstep.quantitative as q
+    import backstep.transform as t
+    calls = []
+    real = c.lagrange_products
+
+    def counted(sys):
+        calls.append(sys.n)
+        return real(sys)
+
+    for mod in (c, t, q):
+        monkeypatch.setattr(mod, "lagrange_products", counted)
+    assemble(heat(), 0.5, 16)
+    assert calls == [16]
+    calls.clear()
+    res = cost_sweep(heat(), range(1, 5), 48)
+    assert len(res.points) == 4 and calls == [48] * 4
+
+
+def test_synthesis_log_f_matches_all_F():
+    from backstep.quantitative import _all_F
+    sk = make_spectrum(Kind.SKEW_ADJOINT, 2.0, 1.0, 64)
+    for model, lam in ((heat(), 4.0714285714285716), (sk, 9.5)):
+        log_f, _ = _all_F(model, lam, 48)
+        assert np.array_equal(assemble(model, lam, 48).log_f, log_f)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from backstep.errors import GainFloorError, ResonanceError
+from backstep.cauchy import CauchySystem, explicit_inverse
+from backstep.errors import CertificationError, GainFloorError, ResonanceError
 from backstep.spectrum import Kind, dist_alpha, make_spectrum, select_mu
 from backstep.transform import (assemble, chi, condition_number,
                                 factorization_residual, feedback_gains_product,
@@ -144,6 +145,8 @@ def test_spectral_norm_against_svd():
     assert spectral_norm(a) == pytest.approx(np.linalg.svd(a, compute_uv=False)[0])
     big = rng.normal(size=(520, 520))          # beyond the dense limit: power iteration
     assert spectral_norm(big) == pytest.approx(np.linalg.svd(big, compute_uv=False)[0], rel=1e-6)
+    with pytest.raises(CertificationError, match="did not converge"):
+        spectral_norm(rng.normal(size=(513, 513)), max_iter=1)
 
 
 def test_weighted_norm_and_condition():
@@ -164,3 +167,12 @@ def test_synthesis_json_schema():
     sk = make_spectrum(Kind.SKEW_ADJOINT, 2.0, 1.0, 4)
     doc2 = json.loads(synthesis_to_json(assemble(sk, 1.5, 4)))
     assert all(isinstance(v, list) and len(v) == 2 for v in doc2["k"])
+
+
+def test_assemble_inverse_matches_explicit_inverse():
+    sk = make_spectrum(Kind.SKEW_ADJOINT, 2.0, 1.0, 64)
+    for model, lam in ((heat(), 4.0714285714285716), (sk, 9.5)):
+        synth = assemble(model, lam, 48)
+        E = explicit_inverse(CauchySystem.from_model(model, lam, 48, synth.cert))
+        assert synth.cauchy_inv.dtype == E.dtype
+        assert np.array_equal(synth.cauchy_inv, E)
