@@ -3,8 +3,9 @@
 Subcommands: spectrum-check, cauchy-verify, synth, cost-sweep, simulate,
 null-control.  Every run is driven by an optional JSON config file plus flag
 overrides (flags win); identical config and seed produce byte-identical
-outputs.  Exit codes: 0 success, 2 usage/config error, 3 mathematical guard
-(resonance, gain floor, divergence, failed certification).
+outputs at a fixed BLAS thread count.  Exit codes: 0 success, 2 usage/config
+error, 3 mathematical guard (resonance, gain floor, divergence, failed
+certification).
 """
 
 from __future__ import annotations
@@ -248,9 +249,7 @@ def cmd_synth(cfg) -> int:
 
 def cmd_cost_sweep(cfg) -> int:
     lo, _, hi = str(cfg["n_range"]).partition(":")
-    bases = list(range(int(lo), int(hi or lo) + 1))
-    if not bases:
-        raise ValueError("empty sweep range")
+    bases = range(int(lo), int(hi or lo) + 1)
     trunc = int(cfg["trunc"])
     model = _resolve_model(cfg, n_max_floor=trunc)
     result = cost_sweep(model, bases, trunc)

@@ -15,8 +15,6 @@ parameters, witnessing both the upper bound and its sharpness by regression.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -25,7 +23,7 @@ from .cauchy import CauchySystem, LogSignedProduct, csum, lagrange_products
 from .errors import MathGuardError
 from .spectrum import Kind, SpectrumModel, dist_alpha, mu_candidates, select_mu
 from . import transform
-from .transform import assemble, spectral_norm, weighted_norm
+from .transform import assemble, spectral_norm
 
 
 def eval_F(model: SpectrumModel, n: int, lam: float, N: int) -> LogSignedProduct:
@@ -41,12 +39,6 @@ def eval_F(model: SpectrumModel, n: int, lam: float, N: int) -> LogSignedProduct
     sys = CauchySystem.from_model(model, lam, N)
     log_f, sgn_f, _, _ = lagrange_products(sys)
     return LogSignedProduct(float(log_f[n - 1]), complex(sgn_f[n - 1]))
-
-
-def _all_F(model: SpectrumModel, lam: float, N: int) -> tuple[np.ndarray, np.ndarray]:
-    sys = CauchySystem.from_model(model, lam, N)
-    log_f, sgn_f, _, _ = lagrange_products(sys)
-    return log_f, sgn_f
 
 
 def eval_J(model: SpectrumModel, n: int, lam: float, N: int) -> complex:
@@ -130,7 +122,7 @@ def bound_check_products(model: SpectrumModel, lambda_grid, N: int) -> ProductBo
     lams = [float(l) for l in lambda_grid]
     sups = []
     for lam in lams:
-        log_f, _ = _all_F(model, lam, N)
+        log_f = lagrange_products(CauchySystem.from_model(model, lam, N))[0]
         sups.append(float(np.max(log_f)))
     fit = linear_fit([l ** (1.0 / model.alpha) for l in lams], sups)
     if fit is None:
@@ -190,7 +182,7 @@ def lower_bound_check_F(model: SpectrumModel, mu_sequence, N: int,
         mu = float(mu)
         cert = dist_alpha(model, mu).require_nonresonant()
         depth = probe_depth(mu, model.alpha, N) if n_probe is None else min(n_probe, N)
-        log_f, _ = _all_F(model, mu, N)
+        log_f = lagrange_products(CauchySystem.from_model(model, mu, N))[0]
         m = float(np.min(log_f[:depth]))
         if model.kind is Kind.SKEW_ADJOINT and m < -1e-12:
             skew_ok = False
@@ -221,7 +213,6 @@ class CostReport:
     M_N: int | None
     norm_T: float
     norm_Tinv: float
-    norms_s: dict
     k_sup: float
     k_inf: float
     kb_inf: float
@@ -247,15 +238,7 @@ class SweepResult:
     alpha: float
 
 
-def thread_cap() -> int:
-    raw = os.environ.get("BACKSTEP_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _sweep_point(model: SpectrumModel, base: int, trunc: int, s_weights) -> CostReport:
+def _sweep_point(model: SpectrumModel, base: int, trunc: int) -> CostReport:
     mu, cert = select_mu(model, base)
     M_N = None
     if model.kind is Kind.SELF_ADJOINT:
@@ -267,12 +250,9 @@ def _sweep_point(model: SpectrumModel, base: int, trunc: int, s_weights) -> Cost
     bar = rowsum.roundoff + transform._term_relerr(trunc) * np.abs(synth.k)
 
     log_f = synth.log_f[:probe_depth(mu, model.alpha, trunc)]
-    norms_s = {s: (weighted_norm(synth, synth.T_mat, s), weighted_norm(synth, synth.Tinv_mat, s))
-               for s in s_weights}
     return CostReport(
         base=base, lam=mu, dist=cert.dist, M_N=M_N,
         norm_T=spectral_norm(synth.T_mat), norm_Tinv=spectral_norm(synth.Tinv_mat),
-        norms_s=norms_s,
         k_sup=float(np.max(np.abs(synth.k))), k_inf=float(np.min(np.abs(synth.k))),
         kb_inf=float(np.min(np.abs(synth.kb))),
         F_sup=float(np.exp(np.max(log_f))), F_inf=float(np.exp(np.min(log_f))),
@@ -280,34 +260,23 @@ def _sweep_point(model: SpectrumModel, base: int, trunc: int, s_weights) -> Cost
         cross_gap=float(np.max(gap)), cross_bar=float(np.max(bar)))
 
 
-def cost_sweep(model: SpectrumModel, bases, trunc: int,
-               s_weights=()) -> SweepResult:
+def cost_sweep(model: SpectrumModel, bases, trunc: int) -> SweepResult:
     """Full synthesis at the certified damping parameter of each base N.
 
     Resonance or certification alarms skip the point and continue.  The
     fitted exponent is the OLS slope of log(norm T + norm T^-1) against
-    lambda^(1/alpha) over the surviving points.  Weighted norms `norms_s`
-    are computed only for the exponents in `s_weights`.
+    lambda^(1/alpha) over the surviving points.
     """
     bases = list(bases)
     if not bases:
         raise ValueError("empty sweep range")
 
-    def run(base):
+    points, skipped = [], []
+    for base in bases:
         try:
-            return _sweep_point(model, base, trunc, s_weights)
+            points.append(_sweep_point(model, base, trunc))
         except MathGuardError as exc:
-            return (base, f"{type(exc).__name__}: {exc}")
-
-    cap = thread_cap()
-    if cap > 1:
-        with ThreadPoolExecutor(max_workers=cap) as pool:
-            results = list(pool.map(run, bases))
-    else:
-        results = [run(b) for b in bases]
-
-    points = [r for r in results if isinstance(r, CostReport)]
-    skipped = tuple(r for r in results if not isinstance(r, CostReport))
+            skipped.append((base, f"{type(exc).__name__}: {exc}"))
     fit = linear_fit([p.lam ** (1.0 / model.alpha) for p in points],
                      [math.log(p.cost) for p in points]) if len(points) >= 2 else None
     if fit is not None:
@@ -315,7 +284,7 @@ def cost_sweep(model: SpectrumModel, bases, trunc: int,
         points = [replace(p, fitted_exponent=slope) for p in points]
     else:
         slope = intercept = r2 = None
-    return SweepResult(points=tuple(points), skipped=skipped,
+    return SweepResult(points=tuple(points), skipped=tuple(skipped),
                        slope=slope, intercept=intercept, r2=r2, alpha=model.alpha)
 
 

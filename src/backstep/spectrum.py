@@ -107,8 +107,10 @@ def make_tabulated(kind: Kind | str,
                    b: Sequence[float] | None = None) -> SpectrumModel:
     """Wrap a user-supplied eigenvalue table; gap constants are empirical.
 
-    Degenerate tables (repeated eigenvalues) are accepted here and flagged by
-    `verify_gaps`; certified operations will refuse to run on gap_c == 0.
+    gap_c is the smaller of the `verify_gaps` consecutive_lower and pairwise
+    constants, gap_C its consecutive_upper constant.  Degenerate tables
+    (repeated eigenvalues) are accepted here and flagged by `verify_gaps`;
+    certified operations will refuse to run on gap_c == 0.
     """
     kind = Kind(kind)
     if not alpha > 1:
@@ -124,10 +126,14 @@ def make_tabulated(kind: Kind | str,
         raise ValueError("levels must be positive (negative / -i-negative eigenvalues)")
     n_max = vals.size
     b_arr = _materialize_b(b, n_max)
-    c_lo, c_hi = _empirical_gap_constants(levels, alpha)
-    return SpectrumModel(kind=kind, alpha=float(alpha), scale=float("nan"), n_max=n_max,
-                         b=b_arr, levels=np.asarray(levels, dtype=float),
-                         gap_c=c_lo, gap_C=c_hi, tabulated=True)
+    model = SpectrumModel(kind=kind, alpha=float(alpha), scale=float("nan"), n_max=n_max,
+                          b=b_arr, levels=np.asarray(levels, dtype=float),
+                          gap_c=math.nan, gap_C=math.nan, tabulated=True)
+    report = verify_gaps(model)
+    return replace(model,
+                   gap_c=min(report.condition("consecutive_lower").constant,
+                             report.condition("pairwise").constant),
+                   gap_C=report.condition("consecutive_upper").constant)
 
 
 def _materialize_b(b_law, n_max: int) -> np.ndarray:
@@ -142,25 +148,6 @@ def _materialize_b(b_law, n_max: int) -> np.ndarray:
     if np.min(b) <= 0:
         raise ValueError("b must be bounded below away from zero (all entries positive)")
     return b
-
-
-def _pairwise_ratios(levels: np.ndarray, alpha: float):
-    """Ratios |ell_k - ell_n| / (max(k,n)^(alpha-1) |k-n|) over all pairs k > n."""
-    n = levels.size
-    k_idx = np.arange(1, n + 1, dtype=float)
-    diff = np.abs(levels[:, None] - levels[None, :])
-    norm = (k_idx[:, None] ** (alpha - 1.0)) * np.abs(k_idx[:, None] - k_idx[None, :])
-    iu = np.triu_indices(n, k=1)
-    # rows are the larger index k when indexing [k, n] with k > n
-    return diff.T[iu] / norm.T[iu]
-
-
-def _empirical_gap_constants(levels: np.ndarray, alpha: float) -> tuple[float, float]:
-    n = levels.size
-    idx = np.arange(1, n, dtype=float)
-    consec = np.diff(levels) / idx ** (alpha - 1.0)
-    pair = _pairwise_ratios(levels, alpha)
-    return float(min(np.min(consec), np.min(pair))), float(np.max(consec))
 
 
 # ---------------------------------------------------------------------------
@@ -324,8 +311,6 @@ def _nearest_level_index(model: SpectrumModel, target: float, lo: int) -> int:
         return model.n_max
     hi = max(lo, 2)
     while model.level(hi) < target:
-        if model.tabulated and hi >= model.n_max:
-            return model.n_max
         hi = min(hi * 2, model.n_max) if model.tabulated else hi * 2
     while lo < hi:
         mid = (lo + hi) // 2

@@ -6,8 +6,7 @@ import pytest
 from backstep.errors import ResonanceError
 from backstep.quantitative import (all_J, bound_check_products, bound_check_sums,
                                    cost_sweep, eval_F, eval_J, linear_fit,
-                                   lower_bound_check_F, probe_depth, sweep_to_csv,
-                                   thread_cap)
+                                   lower_bound_check_F, probe_depth, sweep_to_csv)
 from backstep.spectrum import Kind, make_spectrum, select_mu
 from backstep.transform import assemble, feedback_gains_product, feedback_gains_rowsum
 
@@ -107,7 +106,7 @@ def test_probe_depth():
 
 def test_cost_sweep_small():
     m = make_spectrum(Kind.SELF_ADJOINT, 2.0, 1.0, 96)
-    res = cost_sweep(m, range(1, 7), 80, s_weights=(0.25, 0.45))
+    res = cost_sweep(m, range(1, 7), 80)
     assert len(res.points) == 6 and not res.skipped
     assert res.r2 >= 0.9 and res.slope > 0
     for p in res.points:
@@ -116,7 +115,6 @@ def test_cost_sweep_small():
         assert p.cross_gap <= p.cross_bar
         assert p.tb_max <= 1e-9
         assert p.fitted_exponent == res.slope
-        assert set(p.norms_s) == {0.25, 0.45}
     with pytest.raises(ValueError):
         cost_sweep(m, [], 80)
 
@@ -131,10 +129,10 @@ def test_cost_sweep_skips_failed_point(monkeypatch):
     import backstep.quantitative as q
     real = q._sweep_point
 
-    def flaky(model, base, trunc, s_weights):
+    def flaky(model, base, trunc):
         if base == 3:
             raise ResonanceError("forced for test")
-        return real(model, base, trunc, s_weights)
+        return real(model, base, trunc)
 
     monkeypatch.setattr(q, "_sweep_point", flaky)
     m = make_spectrum(Kind.SELF_ADJOINT, 2.0, 1.0, 64)
@@ -160,19 +158,6 @@ def test_sweep_csv(tmp_path):
     assert lines[0] == "N,lambda,dist,norm_T,norm_Tinv,k_sup,k_inf,F_inf,fit_exponent"
     assert len([l for l in lines if not l.startswith("#")]) == 4
     assert lines[-1].startswith("# fit:")
-
-
-def test_thread_cap_and_parallel_sweep(monkeypatch):
-    monkeypatch.setenv("BACKSTEP_THREADS", "nope")
-    assert thread_cap() == 1
-    monkeypatch.setenv("BACKSTEP_THREADS", "4")
-    assert thread_cap() == 4
-    m = make_spectrum(Kind.SELF_ADJOINT, 2.0, 1.0, 64)
-    par = cost_sweep(m, range(1, 5), 48)
-    monkeypatch.delenv("BACKSTEP_THREADS")
-    seq = cost_sweep(m, range(1, 5), 48)
-    assert [p.lam for p in par.points] == [p.lam for p in seq.points]
-    assert [p.norm_T for p in par.points] == [p.norm_T for p in seq.points]
 
 
 def test_rearrangement_identity_routes():
@@ -235,8 +220,8 @@ def test_one_product_evaluation_per_synthesis(monkeypatch):
 
 
 def test_synthesis_log_f_matches_all_F():
-    from backstep.quantitative import _all_F
+    from backstep.cauchy import CauchySystem, lagrange_products
     sk = make_spectrum(Kind.SKEW_ADJOINT, 2.0, 1.0, 64)
     for model, lam in ((heat(), 4.0714285714285716), (sk, 9.5)):
-        log_f, _ = _all_F(model, lam, 48)
+        log_f = lagrange_products(CauchySystem.from_model(model, lam, 48))[0]
         assert np.array_equal(assemble(model, lam, 48).log_f, log_f)

@@ -62,6 +62,27 @@ def test_gap_report_degenerate_fails():
     rep = verify_gaps(deg)
     assert not rep.passed
     assert rep.condition("consecutive_lower").constant == 0.0
+    assert deg.gap_c == 0.0
+    assert deg.gap_C == rep.condition("consecutive_upper").constant
+
+
+@pytest.mark.parametrize("levels", [
+    list(np.arange(1, 31) ** 2 + np.random.default_rng(3).uniform(-0.3, 0.3, 30)),
+    list(np.cumsum(np.random.default_rng(4).uniform(0.5, 5.0, 25))),
+])
+def test_tabulated_gap_constants_match_verify_gaps(levels):
+    t = make_tabulated(Kind.SELF_ADJOINT, 2.0, -np.asarray(levels))
+    rep = verify_gaps(t)
+    assert t.gap_c == min(rep.condition("consecutive_lower").constant,
+                          rep.condition("pairwise").constant)
+    assert t.gap_C == rep.condition("consecutive_upper").constant
+    # independent oracle: direct loops over consecutive and all pairs k > n
+    n = len(levels)
+    consec = [(levels[i + 1] - levels[i]) / (i + 1) for i in range(n - 1)]
+    pair = [abs(levels[k - 1] - levels[m - 1]) / (k * (k - m))
+            for k in range(2, n + 1) for m in range(1, k)]
+    assert t.gap_c == pytest.approx(min(min(consec), min(pair)), rel=1e-15, abs=0)
+    assert t.gap_C == pytest.approx(max(consec), rel=1e-15, abs=0)
 
 
 def test_dist_examples():
