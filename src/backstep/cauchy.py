@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CertificationError, ResonanceError, SingularMatrixError
-from .spectrum import SpectrumModel
+from .spectrum import Kind, SpectrumModel
 
 _IMAG_TOL = 1e-13  # self-adjoint outputs must be real to this tolerance
 
@@ -79,9 +79,10 @@ class LogSignedProduct:
 class CauchySystem:
     """Node sequences x_i = lambda_i and y_j = lambda_j + lambda at truncation N.
 
-    `min_sep`, when set from a distance certificate, guards every divided
-    difference: a node pair closer than the certified distance means the
-    certificate is stale.
+    Self-adjoint nodes are real (float64), so the whole synthesis runs in real
+    arithmetic; skew-adjoint nodes are purely imaginary.  `min_sep`, when set
+    from a distance certificate, guards every divided difference: a node pair
+    closer than the certified distance means the certificate is stale.
     """
     x: np.ndarray
     y: np.ndarray
@@ -97,19 +98,23 @@ class CauchySystem:
                    cert=None) -> "CauchySystem":
         if N < 1 or N > model.n_max:
             raise ValueError(f"truncation N={N} outside [1, {model.n_max}]")
-        x = model.eigenvalues[:N]
+        x = -model.levels[:N] if model.kind is Kind.SELF_ADJOINT else model.eigenvalues[:N]
         return cls(x=x, y=x + lam, lam=float(lam),
                    min_sep=None if cert is None else cert.dist)
 
 
 def _separations(sys: CauchySystem) -> np.ndarray:
-    return sys.x[:, None] - sys.y[None, :]
+    """The matrix x_i - y_j, after the resonance and stale-certificate guard."""
+    sep = sys.x[:, None] - sys.y[None, :]
+    _guard(sys, sep)
+    return sep
 
 
 def _guard(sys: CauchySystem, sep: np.ndarray) -> None:
-    m = float(np.min(np.abs(sep)))
+    dist = np.abs(sep)
+    m = float(np.min(dist))
     if m == 0.0:
-        i, j = np.unravel_index(int(np.argmin(np.abs(sep))), sep.shape)
+        i, j = np.unravel_index(int(np.argmin(dist)), sep.shape)
         raise ResonanceError(f"x_{i+1} equals y_{j+1}: lambda hits an eigenvalue difference")
     if sys.min_sep is not None:
         # forming y = x + lambda rounds at the magnitude of the largest node
@@ -121,9 +126,7 @@ def _guard(sys: CauchySystem, sep: np.ndarray) -> None:
 
 def build_cauchy(sys: CauchySystem) -> np.ndarray:
     """N x N matrix with entries 1/(x_i - y_j) = 1/(lambda_i - lambda_j - lambda)."""
-    sep = _separations(sys)
-    _guard(sys, sep)
-    return _realized(sys, 1.0 / sep)
+    return _realized(sys, 1.0 / _separations(sys))
 
 
 def lagrange_products(sys: CauchySystem) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -133,23 +136,23 @@ def lagrange_products(sys: CauchySystem) -> tuple[np.ndarray, np.ndarray, np.nda
       P_i = prod_{m != i} (1 + lambda / (lambda_i - lambda_m)),
       Q_j = prod_{n != j} (1 - lambda / (lambda_j - lambda_n)).
     """
-    lam = sys.lam
     dx = sys.x[:, None] - sys.x[None, :]
-    off = ~np.eye(sys.n, dtype=bool)
-    if sys.n > 1 and np.min(np.abs(dx[off])) == 0.0:
+    if np.count_nonzero(dx == 0.0) > sys.n:
         raise ResonanceError("repeated eigenvalue: Lagrange products need simple nodes")
     np.fill_diagonal(dx, 1.0)          # excluded index, neutral factor below
-    plus = 1.0 + lam / dx
-    minus = 1.0 - lam / dx
-    np.fill_diagonal(plus, 1.0)
-    np.fill_diagonal(minus, 1.0)
-    if np.any(plus == 0.0) or np.any(minus == 0.0):
+    # complex division by a zero-imaginary divisor computes a * (1/b), so every
+    # division here is that reciprocal product: real and complex nodes round alike
+    q = sys.lam * (1.0 / dx)
+    return _log_signed_rows(1.0 + q) + _log_signed_rows(1.0 - q)
+
+
+def _log_signed_rows(factors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row products of `factors` without the diagonal: (log magnitude, unit sign)."""
+    np.fill_diagonal(factors, 1.0)
+    if np.any(factors == 0.0):
         raise ResonanceError("a Lagrange factor vanished: lambda equals lambda_i - lambda_m exactly")
-    log_p = np.sum(np.log(np.abs(plus)), axis=1)
-    log_q = np.sum(np.log(np.abs(minus)), axis=1)
-    sgn_p = np.prod(plus / np.abs(plus), axis=1)
-    sgn_q = np.prod(minus / np.abs(minus), axis=1)
-    return log_p, sgn_p, log_q, sgn_q
+    mag = np.abs(factors)
+    return np.sum(np.log(mag), axis=1), np.prod(factors * (1.0 / mag), axis=1)
 
 
 def explicit_inverse(sys: CauchySystem) -> np.ndarray:
@@ -158,32 +161,31 @@ def explicit_inverse(sys: CauchySystem) -> np.ndarray:
     Entry (i, j) = lambda^2/(lambda_j - lambda_i - lambda) * P_i * Q_j; the
     empty products at N = 1 are 1, so the single entry is -lambda.
     """
-    return _inverse_from_products(sys, lagrange_products(sys))
+    return _inverse_from_products(sys, lagrange_products(sys), _separations(sys))
 
 
-def _inverse_from_products(sys: CauchySystem, products) -> np.ndarray:
-    """`explicit_inverse` from the already evaluated `lagrange_products(sys)`."""
-    sep = _separations(sys)
-    _guard(sys, sep)
+def _inverse_from_products(sys: CauchySystem, products, sep: np.ndarray) -> np.ndarray:
+    """`explicit_inverse` from the evaluated `lagrange_products(sys)` and the
+    guarded separations `_separations(sys)`."""
     log_p, sgn_p, log_q, sgn_q = products
-    lam = sys.lam
     # lambda_j - lambda_i - lambda = -(x_i - y_j) transposed: x_j - y_i
     pref = sep.T
-    log_mag = (2.0 * math.log(lam) - np.log(np.abs(pref))
-               + log_p[:, None] + log_q[None, :])
-    sign = (np.conj(pref) / np.abs(pref)) * sgn_p[:, None] * sgn_q[None, :]
+    mag = np.abs(pref)
+    log_mag = 2.0 * math.log(sys.lam) - np.log(mag) + log_p[:, None] + log_q[None, :]
+    # reciprocal product, not a division: see lagrange_products
+    sign = np.conj(pref) * (1.0 / mag) * sgn_p[:, None] * sgn_q[None, :]
     return _realized(sys, sign * np.exp(log_mag))
 
 
 def _realized(sys: CauchySystem, mat: np.ndarray) -> np.ndarray:
-    """Drop exact-zero imaginary parts on the real (self-adjoint) path."""
-    if np.isrealobj(sys.x) or np.all(sys.x.imag == 0.0):
-        scale = float(np.max(np.abs(mat))) or 1.0
-        worst = float(np.max(np.abs(mat.imag)))
-        if worst > _IMAG_TOL * scale:
-            raise CertificationError(f"imaginary residue {worst} on real path (scale {scale})")
-        return mat.real.copy()
-    return mat
+    """Drop exact-zero imaginary parts of a complex matrix on real nodes."""
+    if np.isrealobj(mat) or np.any(sys.x.imag != 0.0):
+        return mat
+    scale = float(np.max(np.abs(mat))) or 1.0
+    worst = float(np.max(np.abs(mat.imag)))
+    if worst > _IMAG_TOL * scale:
+        raise CertificationError(f"imaginary residue {worst} on real path (scale {scale})")
+    return mat.real.copy()
 
 
 def oracle_inverse(mat: np.ndarray, pivot_rtol: float = 1e-12) -> np.ndarray:

@@ -19,10 +19,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cauchy import csum, format_scalar
-from .errors import DivergenceError, MathGuardError
+from .errors import CertificationError, DivergenceError, MathGuardError
 from .spectrum import SpectrumModel, select_mu
 from .transform import BacksteppingSynthesis, assemble
 from .quantitative import linear_fit
+
+_TB_TOL = 1e-9  # acceptance bound on every stage's TB = B residual
 
 
 @dataclass(frozen=True)
@@ -176,6 +178,10 @@ def build_schedule(model: SpectrumModel, horizon: float, gamma: float, sigma: fl
             synth = assemble(model, lam, trunc_all, cert)
         except MathGuardError as exc:
             raise type(exc)(f"stage {k} (lambda {lam}): {exc}") from exc
+        if synth.tb_residual_max > _TB_TOL:
+            raise CertificationError(
+                f"stage {k} (lambda {lam}): TB=B residual {synth.tb_residual_max} "
+                f"exceeds the acceptance bound {_TB_TOL}")
         stages.append(Stage(index=k, base=base, lam=lam, dist=cert.dist, delta=delta,
                             t_start=t, t_end=t + delta, synthesis=synth))
         t += delta

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cauchy import (CauchySystem, _inverse_from_products, build_cauchy, csum,
+from .cauchy import (CauchySystem, _inverse_from_products, _separations, csum,
                      explicit_inverse, lagrange_products, tail_log_bound)
 from .errors import CertificationError, GainFloorError
 from .spectrum import DistCertificate, SpectrumModel, dist_alpha
@@ -77,7 +77,7 @@ def _rowsum_gains(model: SpectrumModel, lam: float, inv: np.ndarray) -> GainEsti
     N = inv.shape[0]
     b = model.b[:N]
     kb = np.array([csum(row) for row in inv], dtype=inv.dtype)
-    bars = _term_relerr(N) * np.array([np.sum(np.abs(row)) for row in inv])
+    bars = _term_relerr(N) * np.sum(np.abs(inv), axis=1)
     _check_nonzero(kb, "row-sum")
     return GainEstimate(values=kb / b, roundoff=bars / b,
                         tail_log=_tail_log(model, lam, N), route="rowsum")
@@ -101,7 +101,7 @@ def _product_gains(model: SpectrumModel, lam: float, log_f: np.ndarray,
     """Product-route gains from the log-signed gain products F_n, n <= N."""
     N = log_f.size
     kb = -lam * sgn_f * np.exp(log_f)
-    if np.all(kb.imag == 0.0):
+    if np.iscomplexobj(kb) and np.all(kb.imag == 0.0):
         kb = kb.real.copy()
     b = model.b[:N]
     _check_nonzero(kb, "product")
@@ -187,9 +187,10 @@ def assemble(model: SpectrumModel, lam: float, N: int,
     """
     cert = _certify(model, lam, cert)
     sys = CauchySystem.from_model(model, lam, N, cert)
-    cmat = build_cauchy(sys)
+    sep = _separations(sys)            # guarded once for the matrix and its inverse
+    cmat = 1.0 / sep
     products = lagrange_products(sys)
-    cinv = _inverse_from_products(sys, products)
+    cinv = _inverse_from_products(sys, products, sep)
     gains = _product_gains(model, lam, products[0], products[1])
     k = gains.values
     b = model.b[:N]

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from backstep.cauchy import (CauchySystem, LogSignedProduct, build_cauchy, csum,
-                             explicit_inverse, format_scalar, oracle_inverse,
-                             parse_scalar, read_matrix_csv, tail_log_bound,
-                             truncation_entry_bar, write_matrix_csv)
+                             explicit_inverse, format_scalar, lagrange_products,
+                             oracle_inverse, parse_scalar, read_matrix_csv,
+                             tail_log_bound, truncation_entry_bar, write_matrix_csv)
 from backstep.errors import CertificationError, ResonanceError, SingularMatrixError
-from backstep.spectrum import Kind, dist_alpha, make_spectrum
+from backstep.spectrum import Kind, dist_alpha, make_spectrum, make_tabulated
 
 
 def heat(n_max=64):
@@ -201,3 +201,49 @@ def test_realized_guard_survives_optimize_flag():
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode != 0 and "CertificationError" in proc.stderr
+
+
+def _node_models():
+    rng = np.random.default_rng(5)
+    table = -np.cumsum(rng.uniform(1.0, 9.0, 64)) - 0.25   # irregular, simple levels
+    return [make_spectrum(Kind.SELF_ADJOINT, a, 1.0, 64) for a in (1.5, 2.0, 3.0)] + \
+        [make_tabulated(Kind.SELF_ADJOINT, 2.0, table)]
+
+
+def _complex_nodes(sysm):
+    x = sysm.x.astype(complex)
+    return CauchySystem(x=x, y=x + sysm.lam, lam=sysm.lam, min_sep=sysm.min_sep)
+
+
+@pytest.mark.parametrize("model", _node_models(),
+                         ids=["alpha1.5", "alpha2", "alpha3", "tabulated"])
+def test_real_nodes_round_like_complex_nodes(model):
+    # the float64 kernel must give the bits of the complex kernel on the same nodes
+    for lam in (0.7, 13.3, 57.1, 99.7):
+        real = CauchySystem.from_model(model, lam, 64)
+        cplx = _complex_nodes(real)
+        assert np.array_equal(real.x, cplx.x.real) and np.array_equal(real.y, cplx.y.real)
+        assert np.array_equal(build_cauchy(real), build_cauchy(cplx))
+        for a, b in zip(lagrange_products(real), lagrange_products(cplx)):
+            assert np.array_equal(a, b.real) and not np.any(np.imag(b))
+        assert np.array_equal(explicit_inverse(real), explicit_inverse(cplx))
+
+
+def test_self_adjoint_kernel_is_real():
+    for model in _node_models():
+        sysm = CauchySystem.from_model(model, 3.3, 48)
+        assert sysm.x.dtype == np.float64 and sysm.y.dtype == np.float64
+        assert all(p.dtype == np.float64 for p in lagrange_products(sysm))
+        assert build_cauchy(sysm).dtype == explicit_inverse(sysm).dtype == np.float64
+    sk = CauchySystem.from_model(make_spectrum(Kind.SKEW_ADJOINT, 2.0, 1.0, 8), 1.5, 8)
+    assert sk.x.dtype == np.complex128
+
+
+def test_repeated_eigenvalue_guard():
+    deg = make_tabulated(Kind.SELF_ADJOINT, 2.0, [-1.0, -1.0, -4.0])
+    real = CauchySystem.from_model(deg, 0.5, 3)
+    for sysm in (real, _complex_nodes(real)):
+        with pytest.raises(ResonanceError, match="repeated eigenvalue"):
+            lagrange_products(sysm)
+    for N in (1, 2):       # the guard needs an off-diagonal zero, not the diagonal ones
+        lagrange_products(CauchySystem.from_model(heat(), 0.5, N))

@@ -104,6 +104,14 @@ def test_null_control_outputs(tmp_path):
     assert [st["N"] for st in doc["stages"]] == [1, 2, 3]
 
 
+def test_null_control_tb_bound_exits_3(tmp_path, capsys):
+    assert run(tmp_path, "null-control", "--scale", "32", "--stages", "12",
+               "--trunc", "48") == 3
+    err = capsys.readouterr().err
+    assert "stage 11" in err and "TB=B residual" in err
+    assert not (tmp_path / "null_control_trajectory.csv").exists()
+
+
 def test_null_control_bad_y0_exits_2(tmp_path):
     (tmp_path / "y0.json").write_text("[1.0, 2.0]")
     assert run(tmp_path, "null-control", "--scale", "32", "--stages", "2",

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from backstep.errors import DivergenceError
+from backstep.errors import CertificationError, DivergenceError
 from backstep.simulate import (build_schedule, control_signal, measure_decay,
                                norm_h, norm_weighted, propagate,
                                run_null_control, schedule_manifest_json, state,
@@ -150,6 +150,15 @@ def test_null_control_divergence_alarm():
         run_null_control(sch, state(y0), growth_c_hat=0.0, growth_C_hat=1e-9)
     rep = run_null_control(sch, state(y0), growth_c_hat=1.0, growth_C_hat=10.0)
     assert rep.final_ratio < 1.0
+
+
+def test_schedule_rejects_stage_past_tb_bound():
+    # 10 stages peak at TB=B 1.6e-10; stage 11 of 12 reaches 1.5e-9 > 1e-9
+    m = heat(200, scale=32.0)
+    assert max(st.synthesis.tb_residual_max
+               for st in build_schedule(m, 1.0, 3.0, 2.5, 10, trunc=48).stages) <= 1e-9
+    with pytest.raises(CertificationError, match=r"stage 11 \(lambda 1343\.7.*TB=B residual 1\.5"):
+        build_schedule(m, 1.0, 3.0, 2.5, 12, trunc=48)
 
 
 def test_trajectory_csv_and_manifest(tmp_path):

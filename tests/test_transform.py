@@ -3,7 +3,8 @@ import pytest
 
 from backstep.cauchy import CauchySystem, explicit_inverse
 from backstep.errors import CertificationError, GainFloorError, ResonanceError
-from backstep.spectrum import Kind, dist_alpha, make_spectrum, select_mu
+from backstep.spectrum import (DistCertificate, Kind, dist_alpha, make_spectrum,
+                               make_tabulated, select_mu)
 from backstep.transform import (assemble, chi, condition_number,
                                 factorization_residual, feedback_gains_product,
                                 feedback_gains_rowsum, gain_floor,
@@ -176,3 +177,51 @@ def test_assemble_inverse_matches_explicit_inverse():
         E = explicit_inverse(CauchySystem.from_model(model, lam, 48, synth.cert))
         assert synth.cauchy_inv.dtype == E.dtype
         assert np.array_equal(synth.cauchy_inv, E)
+
+
+
+def test_real_synthesis_matches_complex_nodes(monkeypatch):
+    # assemble on real nodes must reproduce, bit for bit, a synthesis whose
+    # Cauchy kernel ran on complex-typed nodes with zero imaginary parts
+    rng = np.random.default_rng(5)
+    levels = np.cumsum(rng.uniform(1.0, 9.0, 64)) + 0.25
+    models = [make_spectrum(Kind.SELF_ADJOINT, a, 1.0, 64) for a in (1.5, 2.0, 3.0)]
+    models.append(make_tabulated(Kind.SELF_ADJOINT, 2.0, -levels))
+    real_from_model = CauchySystem.from_model.__func__
+
+    def complex_from_model(cls, model, lam, N, cert=None):
+        s = real_from_model(cls, model, lam, N, cert)
+        x = s.x.astype(complex)
+        return cls(x=x, y=x + s.lam, lam=s.lam, min_sep=s.min_sep)
+
+    compared = 0
+    for model in models:
+        for lam in (0.7, 13.3, 57.1, 99.7):
+            if model.tabulated:      # a certificate for the 64 tabulated modes only
+                dist = float(np.min(np.abs(levels[None, :] - levels[:, None] - lam)))
+                cert = DistCertificate(lam=lam, dist=dist, witness_pair=None)
+            else:
+                cert = dist_alpha(model, lam)
+            try:
+                real = assemble(model, lam, 64, cert)
+            except CertificationError:
+                continue            # T . T^-1 alarm: past the certified frontier
+            assert all(getattr(real, f).dtype == np.float64
+                       for f in ("k", "cauchy_mat", "cauchy_inv", "T_mat", "Tinv_mat"))
+            with monkeypatch.context() as mp:
+                mp.setattr(CauchySystem, "from_model", classmethod(complex_from_model))
+                cplx = assemble(model, lam, 64, cert)
+            for f in ("k", "T_mat", "Tinv_mat", "tb_residuals"):
+                assert np.array_equal(getattr(real, f), getattr(cplx, f)), (model.alpha, lam, f)
+            compared += 1
+    assert compared >= 10         # 11 of the 16 (model, lambda) pairs assemble
+
+
+def test_rowsum_bars_match_per_row_loop():
+    from backstep.transform import _rowsum_gains, _term_relerr
+    rng = np.random.default_rng(7)
+    model = heat(301)
+    for N in (1, 2, 7, 64, 129, 300, 301):
+        inv = np.exp(rng.uniform(-30.0, 30.0, (N, N))) * rng.choice([-1.0, 1.0], (N, N))
+        bars = _term_relerr(N) * np.array([np.sum(np.abs(row)) for row in inv])
+        assert np.array_equal(_rowsum_gains(model, 0.5, inv).roundoff, bars / model.b[:N])
