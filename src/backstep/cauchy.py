@@ -9,8 +9,8 @@ x_i = lambda_i and y_j = lambda_j + lambda.  Its inverse has a closed form,
 
 whose factors reach magnitudes of order exp(c lambda^(1/alpha)); every product
 here is therefore accumulated in the log domain with separate unit-modulus
-sign tracking.  A dense partial-pivoting elimination provides the independent
-brute-force inversion oracle.
+sign tracking.  The independent brute-force inversion oracle lives in
+`backstep.oracles`.
 """
 
 from __future__ import annotations
@@ -21,58 +21,25 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import CertificationError, ResonanceError, SingularMatrixError
+from .errors import CertificationError, ResonanceError
 from .spectrum import Kind, SpectrumModel
 
 _IMAG_TOL = 1e-13  # self-adjoint outputs must be real to this tolerance
 
 
-def csum(values: Sequence[complex] | np.ndarray) -> complex:
-    """Exactly rounded sum (Shewchuk) of real or complex values, in any order."""
+def csum(values: Sequence[complex] | np.ndarray) -> complex | np.ndarray:
+    """Exactly rounded sum (Shewchuk) of real or complex values along the last
+    axis, in any order: a scalar for 1-D input, one sum per row for 2-D."""
     arr = np.asarray(values)
+    if arr.ndim == 2:
+        # row by row: one tolist() of a whole 300 x 300 matrix costs ~3 MB
+        re = np.array([math.fsum(row.tolist()) for row in arr.real])
+        if not np.iscomplexobj(arr):
+            return re
+        return re + 1j * np.array([math.fsum(row.tolist()) for row in arr.imag])
     re = math.fsum(arr.real.tolist())
     im = math.fsum(arr.imag.tolist()) if np.iscomplexobj(arr) else 0.0
     return complex(re, im) if im != 0.0 else re
-
-
-@dataclass(frozen=True)
-class LogSignedProduct:
-    """A product stored as sign * exp(log_magnitude), sign of unit modulus.
-
-    Composition adds log magnitudes and multiplies signs, so arbitrarily long
-    factor lists never overflow.  A vanished factor is the absorbing element
-    (sign 0, log magnitude -inf).
-    """
-    log_magnitude: float
-    sign: complex
-
-    @classmethod
-    def one(cls) -> "LogSignedProduct":
-        return cls(0.0, 1.0 + 0.0j)
-
-    @classmethod
-    def from_factors(cls, factors: Sequence[complex]) -> "LogSignedProduct":
-        arr = np.asarray(factors, dtype=complex)
-        mags = np.abs(arr)
-        if np.any(mags == 0.0):
-            return cls(float("-inf"), 0.0j)
-        log_mag = float(np.sum(np.log(mags)))
-        sign = complex(np.prod(arr / mags))
-        return cls(log_mag, sign)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.sign == 0.0
-
-    def times(self, other: "LogSignedProduct") -> "LogSignedProduct":
-        if self.is_zero or other.is_zero:
-            return LogSignedProduct(float("-inf"), 0.0j)
-        return LogSignedProduct(self.log_magnitude + other.log_magnitude, self.sign * other.sign)
-
-    def value(self) -> complex:
-        if self.is_zero:
-            return 0.0 + 0.0j
-        return self.sign * math.exp(self.log_magnitude)
 
 
 @dataclass(frozen=True)
@@ -188,38 +155,6 @@ def _realized(sys: CauchySystem, mat: np.ndarray) -> np.ndarray:
     return mat.real.copy()
 
 
-def oracle_inverse(mat: np.ndarray, pivot_rtol: float = 1e-12) -> np.ndarray:
-    """Dense inverse by Gaussian elimination with partial pivoting.
-
-    Brute-force oracle, independent of the product formula; intended for
-    N <= 256.  Pivots below pivot_rtol times the pivot row's original max
-    norm raise SingularMatrixError.
-    """
-    a = np.array(mat, dtype=complex if np.iscomplexobj(mat) else float)
-    n, m = a.shape
-    if n != m:
-        raise ValueError("matrix must be square")
-    row_scale = np.max(np.abs(a), axis=1)
-    piv = np.arange(n)
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(a[k:, k])))
-        if np.abs(a[p, k]) < pivot_rtol * max(row_scale[piv[p]], 1e-300):
-            raise SingularMatrixError(f"pivot {abs(a[p, k])} at step {k} below tolerance")
-        if p != k:
-            a[[k, p]] = a[[p, k]]
-            piv[[k, p]] = piv[[p, k]]
-        a[k + 1:, k] /= a[k, k]
-        a[k + 1:, k + 1:] -= np.outer(a[k + 1:, k], a[k, k + 1:])
-    # solve A X = I with the LU factors
-    x = np.eye(n, dtype=a.dtype)[piv]
-    for k in range(n):                      # forward, unit lower triangle
-        x[k + 1:] -= np.outer(a[k + 1:, k], x[k])
-    for k in range(n - 1, -1, -1):          # backward
-        x[k] /= a[k, k]
-        x[:k] -= np.outer(a[:k, k], x[k])
-    return x
-
-
 def tail_log_bound(model: SpectrumModel, i: int, lam: float, N: int) -> float:
     """Certified bound on |sum_{m>N} log(1 +- lambda/(lambda_i - lambda_m))|.
 
@@ -257,7 +192,7 @@ def truncation_entry_bar(model: SpectrumModel, lam: float, N: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# CSV serialization (row-major, complex entries as "re+imi" literals)
+# scalar output format (17 significant digits, complex as "re+imi" literals)
 
 
 def format_scalar(z) -> str:
@@ -266,27 +201,3 @@ def format_scalar(z) -> str:
         return format(z.real, ".17g")
     sign = "+" if z.imag >= 0 else "-"
     return f"{format(z.real, '.17g')}{sign}{format(abs(z.imag), '.17g')}i"
-
-
-def parse_scalar(text: str) -> complex:
-    t = text.strip()
-    if t.endswith("i"):
-        body = t[:-1]
-        for k in range(len(body) - 1, 0, -1):
-            if body[k] in "+-" and body[k - 1] not in "eE":
-                return complex(float(body[:k]), float(body[k:] or "1"))
-        return complex(0.0, float(body))
-    return complex(float(t), 0.0)
-
-
-def write_matrix_csv(mat: np.ndarray, path) -> None:
-    rows = [",".join(format_scalar(z) for z in row) for row in np.atleast_2d(mat)]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(rows) + "\n")
-
-
-def read_matrix_csv(path) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
-        rows = [[parse_scalar(c) for c in line.split(",")] for line in fh.read().splitlines() if line]
-    arr = np.array(rows, dtype=complex)
-    return arr.real.copy() if np.all(arr.imag == 0.0) else arr

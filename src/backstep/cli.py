@@ -17,9 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .cauchy import (CauchySystem, build_cauchy, csum, explicit_inverse,
-                     format_scalar, oracle_inverse)
+from .cauchy import CauchySystem, build_cauchy, csum, explicit_inverse, format_scalar
 from .errors import MathGuardError
+from .oracles import oracle_inverse
 from .quantitative import cost_sweep, sweep_to_csv
 from .simulate import (build_schedule, norm_h, norm_weighted, propagate,
                        run_null_control, schedule_manifest_json, state,
@@ -292,7 +292,7 @@ def cmd_null_control(cfg) -> int:
     y0 = _initial_state(cfg, schedule.trunc)
     report = run_null_control(schedule, y0,
                               growth_c_hat=cfg.get("growth_c_hat"),
-                              growth_C_hat=float(cfg.get("growth_C_hat") or 10.0))
+                              growth_C_hat=float(cfg["growth_C_hat"]))
     prefix = cfg["out_prefix"]
     traj_path = f"{prefix}_trajectory.csv"
     write_trajectory_csv(report.samples, traj_path)

@@ -1,15 +1,8 @@
-"""Gain products, telescoping sums, bound witnesses, and the cost sweep.
+"""The cost sweep: one synthesis per certified damping parameter.
 
-The two scalar families behind every estimate:
-
-    F_n(lambda) = prod_{m != n} (1 + lambda / (lambda_n - lambda_m))
-    J_n(lambda) = sum_j prod_{m != n} (lambda_j - lambda_m - lambda)
-                        / prod_{m != j} (lambda_j - lambda_m)
-
-J_n is identically 1 at every truncation N >= n (a polynomial identity), so
-k_n b_n = -lambda F_n J_n collapses to -lambda F_n; the sweep checks that the
-operator-norm cost grows like exp(c lambda^(1/alpha)) along certified damping
-parameters, witnessing both the upper bound and its sharpness by regression.
+Each point records the norms of T and T^-1, the gains and the gain products
+F_n(lambda); the fitted slope of log(norm T + norm T^-1) against
+lambda^(1/alpha) witnesses the cost law exp(c lambda^(1/alpha)).
 """
 
 from __future__ import annotations
@@ -19,74 +12,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cauchy import CauchySystem, LogSignedProduct, csum, lagrange_products
 from .errors import MathGuardError
-from .spectrum import Kind, SpectrumModel, dist_alpha, mu_candidates, select_mu
+from .spectrum import Kind, SpectrumModel, mu_candidates, select_mu
 from . import transform
 from .transform import assemble, spectral_norm
-
-
-def eval_F(model: SpectrumModel, n: int, lam: float, N: int) -> LogSignedProduct:
-    """Truncated gain product F_n over m <= N, in log-signed form.
-
-    F_n(0) = 1; an exactly vanishing factor (lambda = lambda_m - lambda_n)
-    raises the resonance guard.
-    """
-    if not 1 <= n <= N:
-        raise ValueError("mode index out of range")
-    if lam == 0.0:
-        return LogSignedProduct.one()
-    sys = CauchySystem.from_model(model, lam, N)
-    log_f, sgn_f, _, _ = lagrange_products(sys)
-    return LogSignedProduct(float(log_f[n - 1]), complex(sgn_f[n - 1]))
-
-
-def eval_J(model: SpectrumModel, n: int, lam: float, N: int) -> complex:
-    """Truncated telescoping sum J_n^N; exactly 1 in real arithmetic.
-
-    Robust for any lambda (including 0 and resonant values): each term is the
-    ratio of two degree-(N-1) products evaluated in the log domain, summed
-    with exact rounding.
-    """
-    if not 1 <= n <= N:
-        raise ValueError("mode index out of range")
-    zeta = model.eigenvalues[:N]
-    terms = np.empty(N, dtype=complex)
-    for j in range(N):
-        num = np.delete(zeta[j] - zeta - lam, n - 1)
-        den = np.delete(zeta[j] - zeta, j)
-        p = LogSignedProduct.from_factors(num)
-        q = LogSignedProduct.from_factors(den)
-        ratio = LogSignedProduct(p.log_magnitude - q.log_magnitude, p.sign * np.conj(q.sign))
-        terms[j] = ratio.value()
-    return csum(terms)
-
-
-def all_J(model: SpectrumModel, lam: float, N: int) -> np.ndarray:
-    """J_n^N for every n <= N at once.
-
-    Shares the per-j products: term(n, j) = R_j / (D_j (zeta_j - zeta_n - lam))
-    with R_j the full shifted product and D_j the node product.  Requires a
-    non-resonant lambda (so no shortcut denominator vanishes); falls back to
-    the direct evaluation otherwise.
-    """
-    zeta = model.eigenvalues[:N]
-    shift = zeta[:, None] - zeta[None, :] - lam      # [j, n]
-    if lam == 0.0 or np.any(shift == 0.0):
-        return np.array([eval_J(model, n, lam, N) for n in range(1, N + 1)])
-
-    dz = zeta[:, None] - zeta[None, :]
-    np.fill_diagonal(dz, 1.0)
-    log_d = np.sum(np.log(np.abs(dz)), axis=1)
-    sgn_d = np.prod(dz / np.abs(dz), axis=1)
-    log_r = np.sum(np.log(np.abs(shift)), axis=1)
-    sgn_r = np.prod(shift / np.abs(shift), axis=1)
-
-    log_terms = log_r[:, None] - log_d[:, None] - np.log(np.abs(shift))
-    sgn_terms = sgn_r[:, None] * np.conj(sgn_d[:, None]) * np.conj(shift / np.abs(shift))
-    terms = sgn_terms * np.exp(log_terms)
-
-    return np.array([csum(col) for col in terms.T], dtype=complex)
 
 
 def linear_fit(x, y) -> tuple[float, float, float] | None:
@@ -103,102 +32,10 @@ def linear_fit(x, y) -> tuple[float, float, float] | None:
     return float(slope), float(intercept), r2
 
 
-@dataclass(frozen=True)
-class ProductBoundReport:
-    lams: tuple[float, ...]
-    sup_logs: tuple[float, ...]
-    slope: float | None
-    intercept: float | None
-    r2: float | None
-    passed: bool | None    # None: fit declined (degenerate grid)
-
-
-def bound_check_products(model: SpectrumModel, lambda_grid, N: int) -> ProductBoundReport:
-    """Witness |prod (1 + lambda/(lambda_i - lambda_m))| <= C exp(C lambda^(1/alpha)).
-
-    Regresses sup_i log-product on lambda^(1/alpha); passes on positive slope
-    with R^2 >= 0.95, witnessing the bound's shape and its sharpness.
-    """
-    lams = [float(l) for l in lambda_grid]
-    sups = []
-    for lam in lams:
-        log_f = lagrange_products(CauchySystem.from_model(model, lam, N))[0]
-        sups.append(float(np.max(log_f)))
-    fit = linear_fit([l ** (1.0 / model.alpha) for l in lams], sups)
-    if fit is None:
-        return ProductBoundReport(tuple(lams), tuple(sups), None, None, None, None)
-    slope, intercept, r2 = fit
-    return ProductBoundReport(tuple(lams), tuple(sups), slope, intercept, r2,
-                              slope > 0.0 and r2 >= 0.95)
-
-
-@dataclass(frozen=True)
-class SumBoundReport:
-    lam: float
-    dist: float
-    max_row_ratio: float
-    max_col_ratio: float
-
-
-def bound_check_sums(model: SpectrumModel, lam: float, N: int) -> SumBoundReport:
-    """Row/column sums of lambda^2 / |lambda_j - lambda_i - lambda| against
-    C (lambda^2 + lambda^2 / Dist); the reported ratios should be stable in N."""
-    cert = dist_alpha(model, lam).require_nonresonant()
-    zeta = model.eigenvalues[:N]
-    mags = np.abs(zeta[:, None] - zeta[None, :] - lam)   # [j, i] pattern |lambda_j - lambda_i - lam|
-    sums_rows = lam ** 2 * np.sum(1.0 / mags, axis=1)
-    sums_cols = lam ** 2 * np.sum(1.0 / mags, axis=0)
-    bound = lam ** 2 + lam ** 2 / cert.dist
-    return SumBoundReport(lam=lam, dist=cert.dist,
-                          max_row_ratio=float(np.max(sums_rows)) / bound,
-                          max_col_ratio=float(np.max(sums_cols)) / bound)
-
-
 def probe_depth(lam: float, alpha: float, N: int) -> int:
     """Modes to probe for gain-product extrema: the hard regime is n of order
     lambda^(1/alpha)."""
     return min(2 * math.ceil(lam ** (1.0 / alpha)) + 10, N)
-
-
-@dataclass(frozen=True)
-class LowerBoundReport:
-    points: tuple[tuple[float, float, float], ...]   # (lam, dist, min log|F_n|)
-    c_hat: float | None
-    C_hat: float | None
-    passed: bool
-
-
-def lower_bound_check_F(model: SpectrumModel, mu_sequence, N: int,
-                        n_probe: int | None = None) -> LowerBoundReport:
-    """Envelope check of |F_n| >= Dist * C exp(-c lambda^(1/alpha)).
-
-    Fits the envelope of min_n log|F_n / dist| against -lambda^(1/alpha);
-    passes when every point sits on or above the fitted envelope (finite
-    constants), and, for skew-adjoint models, when |F_n| >= 1 pointwise.
-    """
-    pts = []
-    skew_ok = True
-    for mu in mu_sequence:
-        mu = float(mu)
-        cert = dist_alpha(model, mu).require_nonresonant()
-        depth = probe_depth(mu, model.alpha, N) if n_probe is None else min(n_probe, N)
-        log_f = lagrange_products(CauchySystem.from_model(model, mu, N))[0]
-        m = float(np.min(log_f[:depth]))
-        if model.kind is Kind.SKEW_ADJOINT and m < -1e-12:
-            skew_ok = False
-        pts.append((mu, cert.dist, m))
-    xs = [p[0] ** (1.0 / model.alpha) for p in pts]
-    ys = [p[2] - math.log(p[1]) for p in pts]
-    fit = linear_fit(xs, ys)
-    if fit is None:
-        return LowerBoundReport(tuple(pts), None, None, skew_ok)
-    slope, intercept, _ = fit
-    resid = np.asarray(ys) - (slope * np.asarray(xs) + intercept)
-    envelope = intercept + float(np.min(resid))
-    c_hat = max(-slope, 0.0)
-    C_hat = -envelope
-    ok = all(y >= -c_hat * x - C_hat - 1e-9 for x, y in zip(xs, ys))
-    return LowerBoundReport(tuple(pts), c_hat, C_hat, ok and skew_ok)
 
 
 # ---------------------------------------------------------------------------

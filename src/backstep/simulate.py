@@ -66,13 +66,6 @@ def propagate(synth: BacksteppingSynthesis, sv: StateVector, t: float) -> StateV
     return StateVector(coeffs=out, s_weight=sv.s_weight)
 
 
-def control_signal(synth: BacksteppingSynthesis, sv: StateVector, t: float):
-    """u(t) = sum_n k_n <y(t), phi_n> along the truncated trajectory."""
-    y = propagate(synth, sv, t)
-    u = csum(synth.k * y.coeffs)
-    return u
-
-
 @dataclass(frozen=True)
 class DecayReport:
     C_hat: float

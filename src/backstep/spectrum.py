@@ -260,8 +260,7 @@ class DistCertificate:
         return self
 
 
-def dist_alpha(model: SpectrumModel, lam: float,
-               index_limit: int = DEFAULT_INDEX_LIMIT) -> DistCertificate:
+def dist_alpha(model: SpectrumModel, lam: float) -> DistCertificate:
     """Exact Dist_alpha(lambda) = inf_{i,j} |lambda_j - lambda_i + lambda|.
 
     Skew-adjoint: the infimum is `lam` itself, attained at i = j.
@@ -280,8 +279,8 @@ def dist_alpha(model: SpectrumModel, lam: float,
     if not c > 0:
         raise CertificationError("model has no positive gap constant; cannot certify distances")
     n_cap = int(((lam + 2.0 * c) / c) ** (1.0 / (model.alpha - 1.0))) + 2
-    if n_cap > index_limit:
-        raise ValueError(f"enumeration bound {n_cap} exceeds index limit {index_limit}")
+    if n_cap > DEFAULT_INDEX_LIMIT:
+        raise ValueError(f"enumeration bound {n_cap} exceeds index limit {DEFAULT_INDEX_LIMIT}")
     if model.tabulated and n_cap > model.n_max:
         raise CertificationError(
             f"Dist_alpha({lam}) needs levels up to index {n_cap}, but the tabulated spectrum "

@@ -42,10 +42,6 @@ class GainEstimate:
     values: np.ndarray
     roundoff: np.ndarray
     tail_log: float
-    route: str
-
-    def __iter__(self):
-        return iter(self.values)
 
 
 def _term_relerr(N: int) -> float:
@@ -76,11 +72,11 @@ def _rowsum_gains(model: SpectrumModel, lam: float, inv: np.ndarray) -> GainEsti
     """Row-sum gains from the explicit inverse `inv` of an N-truncation."""
     N = inv.shape[0]
     b = model.b[:N]
-    kb = np.array([csum(row) for row in inv], dtype=inv.dtype)
+    kb = csum(inv)
     bars = _term_relerr(N) * np.sum(np.abs(inv), axis=1)
     _check_nonzero(kb, "row-sum")
     return GainEstimate(values=kb / b, roundoff=bars / b,
-                        tail_log=_tail_log(model, lam, N), route="rowsum")
+                        tail_log=_tail_log(model, lam, N))
 
 
 def feedback_gains_product(model: SpectrumModel, lam: float, N: int,
@@ -107,7 +103,7 @@ def _product_gains(model: SpectrumModel, lam: float, log_f: np.ndarray,
     _check_nonzero(kb, "product")
     bars = _term_relerr(N) * np.abs(kb)
     return GainEstimate(values=kb / b, roundoff=bars / b,
-                        tail_log=_tail_log(model, lam, N), route="product")
+                        tail_log=_tail_log(model, lam, N))
 
 
 def _certify(model, lam, cert):
@@ -159,20 +155,12 @@ class BacksteppingSynthesis:
     def tb_residual_max(self) -> float:
         return float(np.max(self.tb_residuals))
 
-    def closed_loop(self) -> np.ndarray:
-        """A + B K at truncation: diag(lambda_n) + outer(b, k)."""
-        return np.diag(self.eigenvalues) + np.outer(self.b.astype(complex), self.k)
-
-
-def tb_residual(synth: BacksteppingSynthesis, j: int) -> float:
-    """|sum_n k_n b_n / (lambda_j - lambda_n - lambda) - 1| for mode j."""
-    if not 1 <= j <= synth.N:
-        raise ValueError("mode index out of range")
-    return float(synth.tb_residuals[j - 1])
-
 
 def _tb_residuals(cauchy_mat: np.ndarray, kb: np.ndarray) -> np.ndarray:
-    return np.array([abs(csum(row) - 1.0) for row in cauchy_mat * kb[None, :]])
+    """|sum_n k_n b_n / (lambda_j - lambda_n - lambda) - 1| for every mode j."""
+    d = csum(cauchy_mat * kb[None, :]) - 1.0
+    # Python's complex abs is hypot; numpy's can differ in the last bit
+    return np.hypot(d.real, d.imag)
 
 
 def assemble(model: SpectrumModel, lam: float, N: int,
@@ -216,15 +204,6 @@ def inverse_residual(synth: BacksteppingSynthesis) -> float:
     """max-norm of T . T^-1 - I at truncation."""
     eye = np.eye(synth.N)
     return float(np.max(np.abs(synth.T_mat @ synth.Tinv_mat - eye)))
-
-
-def factorization_residual(synth: BacksteppingSynthesis) -> float:
-    """Entrywise defect of T against k_n b_p / (lambda_p - lambda_n - lambda)."""
-    lam_p = synth.eigenvalues[:, None]
-    lam_n = synth.eigenvalues[None, :]
-    table = synth.k[None, :] * synth.b[:, None] / (lam_p - lam_n - synth.lam)
-    scale = float(np.max(np.abs(table))) or 1.0
-    return float(np.max(np.abs(synth.T_mat - table))) / scale
 
 
 @dataclass(frozen=True)
@@ -287,26 +266,11 @@ def operator_identity_residual(synth: BacksteppingSynthesis) -> float:
 # ---------------------------------------------------------------------------
 # operator norms
 
-DENSE_SVD_LIMIT = 512
 
-
-def spectral_norm(mat: np.ndarray, rel_tol: float = 1e-10, max_iter: int = 10_000) -> float:
-    """Largest singular value: dense SVD up to 512, converged power iteration beyond."""
-    n = mat.shape[0]
-    if n <= DENSE_SVD_LIMIT:
-        return float(np.linalg.svd(mat, compute_uv=False)[0])
-    x = np.ones(n) / math.sqrt(n)
-    prev = 0.0
-    for _ in range(max_iter):
-        y = mat @ x
-        x = mat.conj().T @ y
-        sigma = math.sqrt(float(np.linalg.norm(x)))
-        if abs(sigma - prev) <= rel_tol * sigma:
-            return sigma
-        prev = sigma
-        x = x / np.linalg.norm(x)
-    raise CertificationError(f"power iteration for the {n}x{n} spectral norm "
-                             f"did not converge in {max_iter} steps")
+def spectral_norm(mat: np.ndarray) -> float:
+    """Largest singular value, from a dense SVD at every size (the top
+    singular values of T^-1 nearly coincide, which stalls iterative routes)."""
+    return float(np.linalg.svd(mat, compute_uv=False)[0])
 
 
 def weighted_norm(synth: BacksteppingSynthesis, mat: np.ndarray, s: float) -> float:

@@ -12,9 +12,10 @@ import time
 import numpy as np
 import pytest
 
-from backstep.cauchy import CauchySystem, build_cauchy, explicit_inverse, oracle_inverse
+from backstep.cauchy import CauchySystem, build_cauchy, explicit_inverse
 from backstep.cli import main as cli_main
-from backstep.quantitative import all_J, cost_sweep, linear_fit
+from backstep.oracles import all_J, oracle_inverse
+from backstep.quantitative import cost_sweep, linear_fit
 from backstep.simulate import build_schedule, measure_decay, run_null_control, state
 from backstep.spectrum import Kind, dist_alpha, make_spectrum, mu_candidates, select_mu
 from backstep.transform import (assemble, condition_number,

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from backstep.cauchy import (CauchySystem, LogSignedProduct, build_cauchy, csum,
-                             explicit_inverse, format_scalar, lagrange_products,
-                             oracle_inverse, parse_scalar, read_matrix_csv,
-                             tail_log_bound, truncation_entry_bar, write_matrix_csv)
+from backstep.cauchy import (CauchySystem, build_cauchy, csum, explicit_inverse,
+                             format_scalar, lagrange_products, tail_log_bound,
+                             truncation_entry_bar)
 from backstep.errors import CertificationError, ResonanceError, SingularMatrixError
+from backstep.oracles import LogSignedProduct, oracle_inverse
 from backstep.spectrum import Kind, dist_alpha, make_spectrum, make_tabulated
 
 
@@ -104,9 +104,10 @@ def test_logsigned_zero_and_composition():
     assert p.is_zero and p.value() == 0.0
     a = LogSignedProduct.from_factors([3.0, -2.0])
     b = LogSignedProduct.from_factors([0.5])
-    assert a.times(b).value() == pytest.approx(-3.0)
-    assert a.times(p).is_zero
-    assert LogSignedProduct.one().value() == 1.0
+    ab = LogSignedProduct.from_factors([3.0, -2.0, 0.5])
+    assert ab.value() == pytest.approx(a.value() * b.value()) == pytest.approx(-3.0)
+    assert LogSignedProduct.from_factors([3.0, -2.0, 0.0]).is_zero
+    assert LogSignedProduct.from_factors([]).value() == 1.0
     # overflow-proof: 400 factors of 100 is far past float range
     big = LogSignedProduct.from_factors([100.0] * 400)
     assert big.log_magnitude == pytest.approx(400 * math.log(100.0))
@@ -160,22 +161,29 @@ def test_csum_exact():
             assert csum(rng.permutation(arr)) == csum(arr)
 
 
+def test_csum_rows_match_per_row_loop():
+    # the row form sums each row of a 2-D array; it must give the per-row bits
+    rng = np.random.default_rng(17)
+    re = rng.standard_normal((40, 301)) * 10.0 ** rng.integers(-12, 13, (40, 301))
+    cx = re + 1j * rng.permutation(re, axis=1)
+    for mat in (re, cx, re[:, :0], re[:1]):
+        rows = csum(mat)
+        loop = np.array([csum(row) for row in mat], dtype=mat.dtype)
+        assert rows.dtype == mat.dtype and rows.tobytes() == loop.tobytes()
+
+
+def _parse_scalar(text):
+    # inverse of format_scalar: "re", "re+imi" or "re-imi"
+    if not text.endswith("i"):
+        return complex(float(text), 0.0)
+    body = text[:-1]
+    k = max(k for k in range(1, len(body)) if body[k] in "+-" and body[k - 1] not in "eE")
+    return complex(float(body[:k]), float(body[k:]))
+
+
 def test_scalar_format_roundtrip():
     for z in (0.5, -1.0, 1 / 3, 2.5e-17, complex(1.5, -0.25), complex(0.0, 3.0), -7.25e-9 + 1e-17j):
-        assert parse_scalar(format_scalar(z)) == complex(z)
-
-
-def test_matrix_csv_roundtrip(tmp_path):
-    m = heat()
-    E = explicit_inverse(CauchySystem.from_model(m, 0.5, 6))
-    p = tmp_path / "real.csv"
-    write_matrix_csv(E, p)
-    assert np.array_equal(read_matrix_csv(p), E)
-    sk = make_spectrum(Kind.SKEW_ADJOINT, 2.0, 1.0, 6)
-    Z = explicit_inverse(CauchySystem.from_model(sk, 1.5, 6))
-    p2 = tmp_path / "cplx.csv"
-    write_matrix_csv(Z, p2)
-    assert np.array_equal(read_matrix_csv(p2), Z)
+        assert _parse_scalar(format_scalar(z)) == complex(z)
 
 
 def test_realized_rejects_imaginary_residue():

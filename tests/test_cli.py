@@ -112,6 +112,13 @@ def test_null_control_tb_bound_exits_3(tmp_path, capsys):
     assert not (tmp_path / "null_control_trajectory.csv").exists()
 
 
+def test_null_control_zero_growth_constant_exits_3(tmp_path, capsys):
+    # an explicit 0 is a bound of 0, not a request for the default 10
+    assert run(tmp_path, "null-control", "--scale", "32", "--stages", "3", "--trunc", "48",
+               "--growth-c-hat", "0", "--growth-C-hat", "0") == 3
+    assert "beyond the certified factor 0.0" in capsys.readouterr().err
+
+
 def test_null_control_bad_y0_exits_2(tmp_path):
     (tmp_path / "y0.json").write_text("[1.0, 2.0]")
     assert run(tmp_path, "null-control", "--scale", "32", "--stages", "2",

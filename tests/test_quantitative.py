@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from backstep.cauchy import CauchySystem, lagrange_products
 from backstep.errors import ResonanceError
-from backstep.quantitative import (all_J, bound_check_products, bound_check_sums,
-                                   cost_sweep, eval_F, eval_J, linear_fit,
-                                   lower_bound_check_F, probe_depth, sweep_to_csv)
+from backstep.oracles import (all_J, bound_check_products, bound_check_sums, eval_J,
+                              lower_bound_check_F)
+from backstep.quantitative import cost_sweep, linear_fit, probe_depth, sweep_to_csv
 from backstep.spectrum import Kind, make_spectrum, select_mu
 from backstep.transform import assemble, feedback_gains_product, feedback_gains_rowsum
 
@@ -19,19 +20,25 @@ def skew(n_max=64):
     return make_spectrum(Kind.SKEW_ADJOINT, 2.0, 1.0, n_max)
 
 
+def gain_products(model, lam, N):
+    """F_n for n <= N, read from the row products of the Lagrange kernel."""
+    log_f, sgn_f, _, _ = lagrange_products(CauchySystem.from_model(model, lam, N))
+    return sgn_f * np.exp(log_f)
+
+
 def test_eval_F_examples():
-    assert eval_F(heat(), 1, 0.5, 2).value() == pytest.approx(7 / 6, rel=1e-14)
-    assert eval_F(heat(), 2, 0.5, 2).value() == pytest.approx(5 / 6, rel=1e-14)
-    assert eval_F(heat(), 3, 0.0, 50).value() == 1.0
-    for n in (1, 7, 50):
-        assert abs(eval_F(skew(), n, 1.0, 50).value()) >= 1.0
+    F = gain_products(heat(), 0.5, 2)
+    assert F[0] == pytest.approx(7 / 6, rel=1e-14)
+    assert F[1] == pytest.approx(5 / 6, rel=1e-14)
+    assert np.all(gain_products(heat(), 0.0, 50) == 1.0)
+    assert np.all(np.abs(gain_products(skew(), 1.0, 50)) >= 1.0)
 
 
 def test_eval_F_guards():
     with pytest.raises(ValueError):
-        eval_F(heat(), 5, 0.5, 4)
+        gain_products(heat(), 0.5, 65)       # truncation past the model
     with pytest.raises(ResonanceError):
-        eval_F(heat(), 1, 3.0, 4)     # factor 1 + 3/(lambda_1 - lambda_2) vanishes
+        gain_products(heat(), 3.0, 4)     # factor 1 + 3/(lambda_1 - lambda_2) vanishes
 
 
 def test_eval_J_examples():
@@ -167,9 +174,10 @@ def test_rearrangement_identity_routes():
     rows = feedback_gains_rowsum(m, lam, N)
     prod = feedback_gains_product(m, lam, N)
     J = all_J(m, lam, N)
+    F = gain_products(m, lam, N)
     for n in range(N):
         lhs = rows.values[n] * m.b[n]
-        rhs = -lam * eval_F(m, n + 1, lam, N).value() * J[n]
+        rhs = -lam * F[n] * J[n]
         assert abs(lhs - rhs) <= rows.roundoff[n] * m.b[n] + prod.roundoff[n] * m.b[n] + 1e-13
 
 
@@ -201,7 +209,6 @@ def test_inverse_row_sums_scale():
 
 def test_one_product_evaluation_per_synthesis(monkeypatch):
     import backstep.cauchy as c
-    import backstep.quantitative as q
     import backstep.transform as t
     calls = []
     real = c.lagrange_products
@@ -210,7 +217,7 @@ def test_one_product_evaluation_per_synthesis(monkeypatch):
         calls.append(sys.n)
         return real(sys)
 
-    for mod in (c, t, q):
+    for mod in (c, t):
         monkeypatch.setattr(mod, "lagrange_products", counted)
     assemble(heat(), 0.5, 16)
     assert calls == [16]
@@ -220,7 +227,6 @@ def test_one_product_evaluation_per_synthesis(monkeypatch):
 
 
 def test_synthesis_log_f_matches_all_F():
-    from backstep.cauchy import CauchySystem, lagrange_products
     sk = make_spectrum(Kind.SKEW_ADJOINT, 2.0, 1.0, 64)
     for model, lam in ((heat(), 4.0714285714285716), (sk, 9.5)):
         log_f = lagrange_products(CauchySystem.from_model(model, lam, 48))[0]

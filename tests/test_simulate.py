@@ -4,11 +4,12 @@ import math
 import numpy as np
 import pytest
 
+from backstep.cauchy import csum
 from backstep.errors import CertificationError, DivergenceError
-from backstep.simulate import (build_schedule, control_signal, measure_decay,
-                               norm_h, norm_weighted, propagate,
-                               run_null_control, schedule_manifest_json, state,
-                               stage_truncation, write_trajectory_csv)
+from backstep.simulate import (build_schedule, measure_decay, norm_h,
+                               norm_weighted, propagate, run_null_control,
+                               schedule_manifest_json, state, stage_truncation,
+                               write_trajectory_csv)
 from backstep.spectrum import Kind, make_spectrum
 from backstep.transform import assemble, chi, condition_number
 
@@ -55,6 +56,11 @@ def test_slowest_mode_scaling(synth32):
     y0 = state(np.eye(32)[0])
     vals = [norm_h(propagate(synth32, y0, t)) * math.exp(1.5 * t) for t in (4.0, 8.0, 12.0)]
     assert vals[1] == pytest.approx(vals[2], rel=1e-9)
+
+
+def control_signal(synth, sv, t):
+    """u(t) = sum_n k_n <y(t), phi_n>, as the CLI and the schedule compute it."""
+    return csum(synth.k * propagate(synth, sv, t).coeffs)
 
 
 def test_control_signal(synth32):

@@ -127,7 +127,7 @@ def test_dist_preconditions():
     with pytest.raises(ValueError):
         dist_alpha(m, 0.0)
     with pytest.raises(ValueError, match="index limit"):
-        dist_alpha(m, 50.0, index_limit=10)
+        dist_alpha(m, 3e6)      # needs ~3e6 level indices at alpha = 2, c = 1
 
 
 def test_mu_candidates_examples():
