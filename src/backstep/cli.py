@@ -159,6 +159,10 @@ def _merge(args) -> dict:
         unknown = set(loaded) - set(cfg)
         if unknown:
             raise ValueError(f"unknown config keys for {args.command}: {sorted(unknown)}")
+        # null means "unset", which only keys without a default may be
+        nulls = sorted(k for k, v in loaded.items() if v is None and cfg[k] is not None)
+        if nulls:
+            raise ValueError(f"config keys for {args.command} must not be null: {nulls}")
         cfg.update(loaded)
     for key in cfg:
         v = getattr(args, key, None)

@@ -65,14 +65,6 @@ class SpectrumModel:
         ell = self.level(n)
         return complex(-ell) if self.kind is Kind.SELF_ADJOINT else -1j * ell
 
-    @property
-    def b_lo(self) -> float:
-        return float(np.min(self.b))
-
-    @property
-    def b_hi(self) -> float:
-        return float(np.max(self.b))
-
 
 def make_spectrum(kind: Kind | str,
                   alpha: float,

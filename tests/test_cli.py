@@ -152,6 +152,22 @@ def test_unknown_config_key_exits_2(tmp_path):
     assert run(tmp_path, "cost-sweep", "--config", "cfg.json") == 2
 
 
+@pytest.mark.parametrize("key,argv", [
+    ("trunc", ("synth", "--lambda", "0.5")),
+    ("growth_C_hat", ("null-control", "--scale", "32", "--stages", "2")),
+])
+def test_null_config_value_exits_2(tmp_path, capsys, key, argv):
+    (tmp_path / "cfg.json").write_text(json.dumps({key: None}))
+    assert run(tmp_path, *argv, "--config", "cfg.json") == 2
+    assert f"must not be null: ['{key}']" in capsys.readouterr().err
+
+
+def test_null_config_value_for_unset_key(tmp_path):
+    # a key whose default is itself unset may be null: synth falls back to --n-base
+    (tmp_path / "cfg.json").write_text(json.dumps({"lam": None, "trunc": 4}))
+    assert run(tmp_path, "synth", "--config", "cfg.json") == 0
+
+
 def test_determinism_cost_sweep(tmp_path):
     run(tmp_path, "cost-sweep", "--n-range", "1:3", "--trunc", "40", "--out", "a.csv")
     run(tmp_path, "cost-sweep", "--n-range", "1:3", "--trunc", "40", "--out", "b.csv")

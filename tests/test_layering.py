@@ -48,3 +48,28 @@ def test_moved_names_live_only_in_oracles():
     for mod in ("cauchy", "spectrum", "transform", "quantitative", "simulate"):
         module = importlib.import_module(f"backstep.{mod}")
         assert [name for name in MOVED if hasattr(module, name)] == [], mod
+
+
+MAY_CALL_SVD = {"oracles.py"}
+
+
+def _calls_svd(tree: ast.AST) -> bool:
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "svd":
+            return True
+        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg") \
+                and any(a.name == "svd" for a in node.names):
+            return True
+    return False
+
+
+def test_one_norm_route_outside_the_oracles():
+    """Operator norms take the Lanczos route in `transform.spectral_norm`; a
+    dense SVD may appear only in the reference layer."""
+    for code in ("np.linalg.svd(a)", "numpy.linalg.svd(a, compute_uv=False)",
+                 "from numpy.linalg import svd", "sla.svd(a)"):
+        assert _calls_svd(ast.parse(code)), code
+    assert not _calls_svd(ast.parse("np.linalg.eigh(a)"))
+    callers = {p.name for p in SRC.glob("*.py")
+               if _calls_svd(ast.parse(p.read_text(encoding="utf-8")))}
+    assert callers <= MAY_CALL_SVD

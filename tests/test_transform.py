@@ -137,15 +137,58 @@ def test_operator_identity():
     assert operator_identity_residual(assemble(heat(), 0.5, 32)) <= 1e-9
 
 
-def test_spectral_norm_against_svd():
+_NORM_RTOL = 8.0 * np.finfo(float).eps
+
+
+def _norm_cases():
     rng = np.random.default_rng(5)
-    a = rng.normal(size=(40, 40))
-    assert spectral_norm(a) == np.linalg.svd(a, compute_uv=False)[0]
-    # T^-1 past 512 modes: sigma1/sigma2 is about 1.001, one dense SVD route
+    yield "gaussian 40x40", rng.normal(size=(40, 40))
+    # T^-1 at 600 modes: sigma1/sigma2 is about 1.001
     m = make_spectrum(Kind.SELF_ADJOINT, 2.0, 1.0, 640)
     mu, cert = select_mu(m, 1)
-    Tinv = assemble(m, mu, 600, cert).Tinv_mat
-    assert spectral_norm(Tinv) == np.linalg.svd(Tinv, compute_uv=False)[0]
+    yield "T^-1 at 600 modes", assemble(m, mu, 600, cert).Tinv_mat
+    sk = make_spectrum(Kind.SKEW_ADJOINT, 2.0, 1.0, 320)
+    mu, cert = select_mu(sk, 10)
+    s = assemble(sk, mu, 300, cert)
+    yield "skew-adjoint T", s.T_mat
+    yield "skew-adjoint T^-1", s.Tinv_mat
+    yield "rank 1", np.outer(rng.normal(size=30), rng.normal(size=30))
+    yield "1x1", np.array([[-3.7]])
+    yield "complex 1x1", np.array([[3.0 - 4.1j]])
+    # a top pair 1e-9 apart, which a gap-based stop would take as one value
+    u, _ = np.linalg.qr(rng.normal(size=(300, 300)))
+    v, _ = np.linalg.qr(rng.normal(size=(300, 300)))
+    sv = np.concatenate([[1.0, 1.0 - 1e-9], rng.uniform(0.0, 0.5, 298)])
+    yield "near-tied top pair", (u * sv) @ v.T
+
+
+def test_spectral_norm_against_svd():
+    """Lanczos against the dense SVD as oracle, at 8 eps relative.
+
+    The stop rule resolves sigma_1 to 2 eps before rounding; sqrt(theta)
+    and the SVD's own sigma_1 each carry a few eps of rounding (at most
+    1.7 eps apart on these matrices, 2.9 eps on the README cost sweep's).
+    """
+    for name, a in _norm_cases():
+        ref = np.linalg.svd(a, compute_uv=False)[0]
+        assert abs(spectral_norm(a) - ref) <= _NORM_RTOL * ref, name
+    assert spectral_norm(np.zeros((5, 5))) == 0.0
+
+
+def test_spectral_norm_is_deterministic():
+    for name, a in _norm_cases():
+        first = spectral_norm(a)
+        assert all(spectral_norm(a) == first for _ in range(3)), name
+
+
+def test_spectral_norm_rejects_non_finite():
+    for bad in (np.nan, np.inf):
+        a = np.eye(4)
+        a[2, 1] = bad
+        with pytest.raises(CertificationError):
+            spectral_norm(a)
+        with pytest.raises(CertificationError):
+            spectral_norm(a.astype(complex))
 
 
 def test_weighted_norm_and_condition():
