@@ -28,18 +28,75 @@ _IMAG_TOL = 1e-13  # self-adjoint outputs must be real to this tolerance
 
 
 def csum(values: Sequence[complex] | np.ndarray) -> complex | np.ndarray:
-    """Exactly rounded sum (Shewchuk) of real or complex values along the last
-    axis, in any order: a scalar for 1-D input, one sum per row for 2-D."""
+    """Exactly rounded sum of real or complex values along the last axis, in
+    any order: a scalar for 1-D input, one sum per row for 2-D.
+
+    Real and imaginary parts are summed separately.  A 1-D input goes to
+    `math.fsum`, which also stays the reference (`oracles.all_J` sums with it
+    directly).  A 2-D input is summed by error-free extraction (Rump, Ogita
+    and Oishi, "Accurate floating-point summation part I: faithful
+    rounding", SIAM J. Sci. Comput. 31(1), 2008) with whole-array operations,
+    and each row gets the bits `math.fsum` gives it; see `_row_sums`.
+    """
     arr = np.asarray(values)
     if arr.ndim == 2:
-        # row by row: one tolist() of a whole 300 x 300 matrix costs ~3 MB
-        re = np.array([math.fsum(row.tolist()) for row in arr.real])
+        re = _row_sums(arr.real)
         if not np.iscomplexobj(arr):
             return re
-        return re + 1j * np.array([math.fsum(row.tolist()) for row in arr.imag])
+        return re + 1j * _row_sums(arr.imag)
     re = math.fsum(arr.real.tolist())
     im = math.fsum(arr.imag.tolist()) if np.iscomplexobj(arr) else 0.0
     return complex(re, im) if im != 0.0 else re
+
+
+_BLOCK_ROWS = 64   # rows extracted together: temporaries stay at 64 x n
+
+
+def _row_sums(mat: np.ndarray) -> np.ndarray:
+    """`math.fsum` of every row of a real matrix, bit for bit, without a
+    Python step per row or per term.
+
+    For a row p of n terms take M = ceil(log2(n + 2)) and sigma = 2^(e + M)
+    with max|p| < 2^e.  Then q = (sigma + p) - sigma and p - q are exact,
+    every q is a multiple of 2^-53 sigma, and |sum q| < sigma; so the sum of
+    the q's is exact in any order, and so is the remainder p <- p - q.  Each
+    pass shrinks the row's largest remainder by at least 2^(52 - M), and the
+    passes stop when every remainder is zero.  The partial sums tau_1,
+    tau_2, ... then add up exactly to the row sum.  When only tau_1 and
+    tau_2 are nonzero, the single addition tau_1 + tau_2 is the correctly
+    rounded sum, which is what fsum returns; otherwise fsum runs over the
+    row's few taus.  A row whose largest term is not finite or is at least
+    2^(1020 - M) is summed by fsum itself, which keeps its OverflowError,
+    ValueError and NaN behaviour.  An exactly zero sum is +0.0, as in fsum.
+    """
+    rows, n = mat.shape
+    out = np.zeros(rows)
+    if n == 0:
+        return out
+    m = (n + 1).bit_length()                  # ceil(log2(n + 2))
+    limit = math.ldexp(1.0, 1020 - m)         # sigma + p stays below 2^1021
+    for lo in range(0, rows, _BLOCK_ROWS):
+        block = out[lo:lo + _BLOCK_ROWS]          # a view: written in place
+        p = np.array(mat[lo:lo + _BLOCK_ROWS], dtype=float)
+        top = np.maximum(p.max(axis=1), -p.min(axis=1))
+        wild = np.flatnonzero(~(top < limit))   # also inf and NaN
+        p[wild] = top[wild] = 0.0
+        taus = []
+        while top.any():
+            sigma = np.ldexp(1.0, np.frexp(top)[1] + m)[:, None]
+            q = sigma + p
+            q -= sigma
+            p -= q
+            taus.append(q.sum(axis=1))
+            top = np.maximum(p.max(axis=1), -p.min(axis=1))
+        if taus:
+            taus = np.array(taus)
+            block[:] = taus[:2].sum(axis=0)       # one addition: tau_1 + tau_2
+            for r in np.flatnonzero(np.any(taus[2:] != 0.0, axis=0)):
+                block[r] = math.fsum(taus[:, r].tolist())
+        for r in wild:
+            block[r] = math.fsum(mat[lo + r].tolist())
+    return out
 
 
 @dataclass(frozen=True)

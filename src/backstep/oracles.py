@@ -115,6 +115,9 @@ def all_J(model: SpectrumModel, lam: float, N: int) -> np.ndarray:
     with R_j the full shifted product and D_j the node product.  Requires a
     non-resonant lambda (so no shortcut denominator vanishes); falls back to
     the direct evaluation otherwise.  Error: `eval_J`'s, one factor more.
+    Each J_n is summed with `math.fsum` directly, not with the runtime's
+    row-sum kernel `csum`, so the reference shares no summation code with
+    what it checks.
     """
     zeta = model.eigenvalues[:N]
     shift = zeta[:, None] - zeta[None, :] - lam      # [j, n]
@@ -132,7 +135,8 @@ def all_J(model: SpectrumModel, lam: float, N: int) -> np.ndarray:
     sgn_terms = sgn_r[:, None] * np.conj(sgn_d[:, None]) * np.conj(shift / np.abs(shift))
     terms = sgn_terms * np.exp(log_terms)
 
-    return csum(terms.T)
+    return np.array([complex(math.fsum(t.real.tolist()), math.fsum(t.imag.tolist()))
+                     for t in terms.T])
 
 
 @dataclass(frozen=True)

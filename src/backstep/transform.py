@@ -122,6 +122,16 @@ def _check_nonzero(kb: np.ndarray, route: str, floor: float = 0.0) -> None:
             "the transformation would not invert")
 
 
+def _check_finite(values: np.ndarray, what: str, lam: float) -> None:
+    """Name the first non-finite entry of `values` (1-based index)."""
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        idx = np.unravel_index(int(bad[0]), values.shape)
+        where = ", ".join(str(int(i) + 1) for i in idx)
+        raise CertificationError(f"{what}[{where}] = {values[idx]}: the Lagrange products "
+                                 f"overflow float64 at lambda {lam}")
+
+
 def gain_floor(lam: float, alpha: float, dist: float, c_hat: float) -> float:
     """Alarm threshold 0.5 lambda exp(-c_hat lambda^(1/alpha)) dist.
 
@@ -171,16 +181,21 @@ def assemble(model: SpectrumModel, lam: float, N: int,
 
     Gains come from the product route; `floor`, when positive, arms the
     zero-gain alarm at that threshold (use `gain_floor` with a fitted
-    exponent).  Raises if T . T^-1 drifts from the identity beyond the
-    assembly alarm tolerance.
+    exponent).  Raises CertificationError if a gain or an entry of the Cauchy
+    inverse overflows float64 (checked before T, T^-1 or any sum is formed),
+    or if T . T^-1 drifts from the identity beyond the assembly alarm
+    tolerance.
     """
     cert = _certify(model, lam, cert)
     sys = CauchySystem.from_model(model, lam, N, cert)
     sep = _separations(sys)            # guarded once for the matrix and its inverse
     cmat = 1.0 / sep
     products = lagrange_products(sys)
-    cinv = _inverse_from_products(sys, products, sep)
-    gains = _product_gains(model, lam, products[0], products[1])
+    with np.errstate(over="ignore", invalid="ignore"):    # reported just below
+        cinv = _inverse_from_products(sys, products, sep)
+        gains = _product_gains(model, lam, products[0], products[1])
+    _check_finite(gains.values, "gain k", lam)
+    _check_finite(cinv, "Cauchy inverse", lam)
     k = gains.values
     b = model.b[:N]
     kb = k * b

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from backstep.cauchy import (CauchySystem, build_cauchy, csum, explicit_inverse,
                              format_scalar, lagrange_products, tail_log_bound,
@@ -170,6 +171,102 @@ def test_csum_rows_match_per_row_loop():
         rows = csum(mat)
         loop = np.array([csum(row) for row in mat], dtype=mat.dtype)
         assert rows.dtype == mat.dtype and rows.tobytes() == loop.tobytes()
+
+
+def _fsum_rows(mat):
+    """Reference for the 2-D `csum`: math.fsum of every row, with real and
+    imaginary parts combined as re + 1j * im, or the first row's exception."""
+    try:
+        re = np.array([math.fsum(row.tolist()) for row in mat.real])
+        if not np.iscomplexobj(mat):
+            return re.tobytes()
+        return (re + 1j * np.array([math.fsum(row.tolist()) for row in mat.imag])).tobytes()
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+def _csum_rows(mat):
+    try:
+        return csum(mat).tobytes()
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+_SPREAD = st.one_of(
+    st.floats(min_value=-1e300, max_value=1e300),                           # subnormal to 1e300
+    st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-1074, 990)),   # exponent gaps: many passes
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324]))
+_WILD = st.one_of(
+    _SPREAD,
+    st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(1000, 1023)),   # at and past 2^(1020 - M)
+    st.sampled_from([math.inf, -math.inf, math.nan]))
+
+
+@st.composite
+def _matrices(draw, elements=_SPREAD):
+    """1-4 rows of 0-10 terms; with `cancel`, each row also holds the
+    negation of every term and one extra term, in a drawn order."""
+    rows, cols, cancel = draw(st.integers(1, 4)), draw(st.integers(0, 10)), draw(st.booleans())
+    out = []
+    for _ in range(rows):
+        row = draw(st.lists(elements, min_size=cols, max_size=cols))
+        if cancel:
+            row = draw(st.permutations(row + [-v for v in row] + [draw(elements)]))
+        out.append(row)
+    return np.array(out, dtype=float).reshape(rows, -1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_matrices(), _matrices(st.floats(1.0, 2.0))))   # same scale and sign: |sum q| near sigma
+def test_csum_rows_are_fsum_bits(mat):
+    assert _csum_rows(mat) == _fsum_rows(mat)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_csum_complex_rows_are_fsum_bits(data):
+    re = data.draw(_matrices())
+    im = data.draw(st.lists(st.lists(_SPREAD, min_size=re.shape[1], max_size=re.shape[1]),
+                            min_size=re.shape[0], max_size=re.shape[0]))
+    mat = np.empty(re.shape, dtype=complex)
+    mat.real, mat.imag = re, np.array(im, dtype=float).reshape(re.shape)
+    assert _csum_rows(mat) == _fsum_rows(mat)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_matrices(_WILD))
+def test_csum_rows_keep_fsum_specials(mat):
+    # inf and NaN propagate, -inf + inf raises ValueError, and an intermediate
+    # overflow raises OverflowError, row by row as fsum does
+    assert _csum_rows(mat) == _fsum_rows(mat)
+
+
+def test_csum_rows_shapes_passes_and_specials():
+    rng = np.random.default_rng(23)
+    deep = [1.0, 1e-20, 1e-40, 1e-60, -1.0]     # exact sum needs five extraction passes
+    overflow = np.array([[1e308, 1e308, -1e308], [1.0, 2.0, 3.0]])
+    invalid = np.array([[1.0, 2.0, 3.0], [math.inf, -math.inf, 0.0]])
+    assert _csum_rows(overflow)[0] is OverflowError and _csum_rows(invalid)[0] is ValueError
+    cases = [np.array([deep]), np.zeros((3, 0)), np.zeros((0, 4)), np.array([[-0.0], [0.0]]),
+             rng.standard_normal((150, 7)) * 10.0 ** rng.integers(-300, 300, (150, 7)),
+             rng.uniform(1.0, 2.0, (70, 300)), overflow, invalid,
+             np.array([[math.nan, 1.0], [math.inf, 1.0], [-math.inf, 2.0**1020]])]
+    for mat in cases:
+        assert _csum_rows(mat) == _fsum_rows(mat)
+        with np.errstate(invalid="ignore"):     # 1j * inf has a NaN real part
+            cx = mat + 0.5j * mat[::-1]
+            assert _csum_rows(cx) == _fsum_rows(cx)
+
+
+def test_csum_rows_make_no_per_row_fsum_call(monkeypatch):
+    # a finite, well-scaled matrix is summed with whole-array operations only
+    mat = np.random.default_rng(5).uniform(-1.0, 1.0, (300, 300))
+    expected = _fsum_rows(mat)
+    fsum, calls = math.fsum, []
+    monkeypatch.setattr(math, "fsum", lambda xs: calls.append(1) or fsum(xs))
+    rows = csum(mat)
+    assert calls == []
+    assert rows.tobytes() == expected
 
 
 def _parse_scalar(text):

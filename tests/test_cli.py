@@ -76,6 +76,12 @@ def test_synth_near_resonance_exits_3(tmp_path):
     assert run(tmp_path, "synth", "--lambda", "3.0", "--trunc", "8") == 3
 
 
+def test_synth_gain_overflow_exits_3(tmp_path, capsys):
+    # the gain products overflow float64: a mathematical failure, not usage
+    assert run(tmp_path, "synth", "--lambda", "300000.5", "--trunc", "300") == 3
+    assert "gain k[1] = -inf" in capsys.readouterr().err
+
+
 def test_cost_sweep_csv(tmp_path):
     assert run(tmp_path, "cost-sweep", "--n-range", "1:4", "--trunc", "48") == 0
     lines = (tmp_path / "cost_sweep.csv").read_text().splitlines()

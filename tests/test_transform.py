@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -98,6 +100,18 @@ def test_assemble_guards():
         assemble(heat(), 0.5, 8, floor=1.0)   # absurd floor trips the alarm
     fl = gain_floor(0.5, 2.0, dist_alpha(heat(), 0.5).dist, c_hat=1.0)
     assemble(heat(), 0.5, 8, floor=fl)        # sane floor passes
+
+
+def test_assemble_overflow_guard():
+    # exp of the product logs overflows float64: a math guard that names the
+    # entry, raised before any sum runs on an inf and without numpy warnings
+    m = heat(300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(CertificationError, match=r"Cauchy inverse\[1, 1\] = inf"):
+            assemble(m, 50000.5, 150)
+        with pytest.raises(CertificationError, match=r"gain k\[1\] = -inf"):
+            assemble(m, 300000.5, 300)
 
 
 def test_chi_examples():
