@@ -40,10 +40,11 @@ def csum(values: Sequence[complex] | np.ndarray) -> complex | np.ndarray:
     """
     arr = np.asarray(values)
     if arr.ndim == 2:
-        re = _row_sums(arr.real)
         if not np.iscomplexobj(arr):
-            return re
-        return re + 1j * _row_sums(arr.imag)
+            return _row_sums(arr)
+        out = np.empty(arr.shape[0], dtype=complex)
+        out.real, out.imag = _row_sums(arr.real), _row_sums(arr.imag)
+        return out
     re = math.fsum(arr.real.tolist())
     im = math.fsum(arr.imag.tolist()) if np.iscomplexobj(arr) else 0.0
     return complex(re, im) if im != 0.0 else re

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -168,6 +169,10 @@ def _merge(args) -> dict:
         v = getattr(args, key, None)
         if v is not None:
             cfg[key] = v
+    for key, v in cfg.items():
+        # float flags and the JSON parser both accept inf and nan
+        if isinstance(v, float) and not math.isfinite(v):
+            raise ValueError(f"setting {key} must be finite, got {v}")
     return cfg
 
 

@@ -19,7 +19,7 @@ class SingularMatrixError(MathGuardError):
 
 
 class GainFloorError(MathGuardError):
-    """A feedback gain vanished or fell below its certified floor."""
+    """A feedback gain vanished, so the transformation would not invert."""
 
 
 class DivergenceError(MathGuardError):

@@ -13,9 +13,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import MathGuardError
-from .spectrum import Kind, SpectrumModel, mu_candidates, select_mu
-from . import transform
-from .transform import assemble, spectral_norm
+from .spectrum import SpectrumModel, select_mu
+from .transform import assemble, gain_cross_check, spectral_norm
 
 
 def linear_fit(x, y) -> tuple[float, float, float] | None:
@@ -47,16 +46,14 @@ class CostReport:
     base: int
     lam: float
     dist: float
-    M_N: int | None
     norm_T: float
     norm_Tinv: float
     k_sup: float
     k_inf: float
     kb_inf: float
-    F_sup: float
     F_inf: float
     tb_max: float
-    cross_gap: float          # max |k rowsum - k product| over probed modes
+    cross_gap: float          # max |k rowsum - k product| over all modes
     cross_bar: float          # combined certified bar for that gap
     fitted_exponent: float | None = None
 
@@ -77,24 +74,16 @@ class SweepResult:
 
 def _sweep_point(model: SpectrumModel, base: int, trunc: int) -> CostReport:
     mu, cert = select_mu(model, base)
-    M_N = None
-    if model.kind is Kind.SELF_ADJOINT:
-        _, M_N, _ = mu_candidates(model, base)
     synth = assemble(model, mu, trunc, cert)
-
-    rowsum = transform._rowsum_gains(model, mu, synth.cauchy_inv)
-    gap = np.abs(rowsum.values - synth.k)
-    bar = rowsum.roundoff + transform._term_relerr(trunc) * np.abs(synth.k)
-
+    cross_gap, cross_bar = gain_cross_check(synth)
     log_f = synth.log_f[:probe_depth(mu, model.alpha, trunc)]
     return CostReport(
-        base=base, lam=mu, dist=cert.dist, M_N=M_N,
+        base=base, lam=mu, dist=cert.dist,
         norm_T=spectral_norm(synth.T_mat), norm_Tinv=spectral_norm(synth.Tinv_mat),
         k_sup=float(np.max(np.abs(synth.k))), k_inf=float(np.min(np.abs(synth.k))),
         kb_inf=float(np.min(np.abs(synth.kb))),
-        F_sup=float(np.exp(np.max(log_f))), F_inf=float(np.exp(np.min(log_f))),
-        tb_max=synth.tb_residual_max,
-        cross_gap=float(np.max(gap)), cross_bar=float(np.max(bar)))
+        F_inf=float(np.exp(np.min(log_f))), tb_max=synth.tb_residual_max,
+        cross_gap=cross_gap, cross_bar=cross_bar)
 
 
 def cost_sweep(model: SpectrumModel, bases, trunc: int) -> SweepResult:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cauchy import (CauchySystem, _inverse_from_products, _separations, csum,
-                     explicit_inverse, lagrange_products, tail_log_bound)
+                     explicit_inverse, lagrange_products)
 from .errors import CertificationError, GainFloorError
 from .spectrum import DistCertificate, SpectrumModel, dist_alpha
 
@@ -34,27 +34,19 @@ _ASSEMBLY_TOL = 1e-6  # hard alarm; acceptance asserts the tight 1e-8 contract
 
 @dataclass(frozen=True)
 class GainEstimate:
-    """Feedback gains with per-entry roundoff bars and the truncation tail bar.
+    """Feedback gains with per-entry roundoff bars.
 
-    `roundoff` bounds the floating-point error of each k_n at this truncation;
-    `tail_log` bounds |log| of the ratio between the N-truncated and the
-    infinite gain products (see cauchy.tail_log_bound).
+    `roundoff` bounds the floating-point error of each k_n at this truncation.
+    The distance to the infinite gains is not part of it: `cauchy.tail_log_bound`
+    gives that on request.
     """
     values: np.ndarray
     roundoff: np.ndarray
-    tail_log: float
 
 
 def _term_relerr(N: int) -> float:
     # log-domain entries accumulate ~N rounded logs; generous constant
     return _EPS * (16.0 * N + 4.0)
-
-
-def _tail_log(model: SpectrumModel, lam: float, N: int) -> float:
-    try:
-        return 2.0 * tail_log_bound(model, N, lam, N)
-    except ValueError:
-        return float("inf")  # truncation below the certified-tail threshold
 
 
 def feedback_gains_rowsum(model: SpectrumModel, lam: float, N: int,
@@ -66,18 +58,17 @@ def feedback_gains_rowsum(model: SpectrumModel, lam: float, N: int,
     lambda.
     """
     cert = _certify(model, lam, cert)
-    return _rowsum_gains(model, lam, explicit_inverse(CauchySystem.from_model(model, lam, N, cert)))
+    inv = explicit_inverse(CauchySystem.from_model(model, lam, N, cert))
+    return _rowsum_gains(model.b[:N], inv)
 
 
-def _rowsum_gains(model: SpectrumModel, lam: float, inv: np.ndarray) -> GainEstimate:
-    """Row-sum gains from the explicit inverse `inv` of an N-truncation."""
-    N = inv.shape[0]
-    b = model.b[:N]
+def _rowsum_gains(b: np.ndarray, inv: np.ndarray) -> GainEstimate:
+    """Row-sum gains from the explicit inverse `inv` of an N-truncation with
+    input coefficients `b`."""
     kb = csum(inv)
-    bars = _term_relerr(N) * np.sum(np.abs(inv), axis=1)
+    bars = _term_relerr(inv.shape[0]) * np.sum(np.abs(inv), axis=1)
     _check_nonzero(kb, "row-sum")
-    return GainEstimate(values=kb / b, roundoff=bars / b,
-                        tail_log=_tail_log(model, lam, N))
+    return GainEstimate(values=kb / b, roundoff=bars / b)
 
 
 def feedback_gains_product(model: SpectrumModel, lam: float, N: int,
@@ -90,21 +81,18 @@ def feedback_gains_product(model: SpectrumModel, lam: float, N: int,
     """
     cert = _certify(model, lam, cert)
     log_f, sgn_f, _, _ = lagrange_products(CauchySystem.from_model(model, lam, N, cert))
-    return _product_gains(model, lam, log_f, sgn_f)
+    kb = _product_kb(lam, log_f, sgn_f)
+    _check_nonzero(kb, "product")
+    b = model.b[:N]
+    return GainEstimate(values=kb / b, roundoff=_term_relerr(N) * np.abs(kb) / b)
 
 
-def _product_gains(model: SpectrumModel, lam: float, log_f: np.ndarray,
-                   sgn_f: np.ndarray) -> GainEstimate:
-    """Product-route gains from the log-signed gain products F_n, n <= N."""
-    N = log_f.size
+def _product_kb(lam: float, log_f: np.ndarray, sgn_f: np.ndarray) -> np.ndarray:
+    """k_n b_n = -lambda F_n from the log-signed gain products F_n, n <= N."""
     kb = -lam * sgn_f * np.exp(log_f)
     if np.iscomplexobj(kb) and np.all(kb.imag == 0.0):
         kb = kb.real.copy()
-    b = model.b[:N]
-    _check_nonzero(kb, "product")
-    bars = _term_relerr(N) * np.abs(kb)
-    return GainEstimate(values=kb / b, roundoff=bars / b,
-                        tail_log=_tail_log(model, lam, N))
+    return kb
 
 
 def _certify(model, lam, cert):
@@ -113,13 +101,12 @@ def _certify(model, lam, cert):
     return cert.require_nonresonant()
 
 
-def _check_nonzero(kb: np.ndarray, route: str, floor: float = 0.0) -> None:
-    worst = float(np.min(np.abs(kb)))
-    if worst <= floor:
-        n = int(np.argmin(np.abs(kb))) + 1
+def _check_nonzero(kb: np.ndarray, route: str) -> None:
+    zero = np.flatnonzero(kb == 0.0)
+    if zero.size:
+        n = int(zero[0]) + 1
         raise GainFloorError(
-            f"gain k_{n} b_{n} = {worst} at or below floor {floor} ({route} route); "
-            "the transformation would not invert")
+            f"gain k_{n} b_{n} vanished ({route} route); the transformation would not invert")
 
 
 def _check_finite(values: np.ndarray, what: str, lam: float) -> None:
@@ -130,15 +117,6 @@ def _check_finite(values: np.ndarray, what: str, lam: float) -> None:
         where = ", ".join(str(int(i) + 1) for i in idx)
         raise CertificationError(f"{what}[{where}] = {values[idx]}: the Lagrange products "
                                  f"overflow float64 at lambda {lam}")
-
-
-def gain_floor(lam: float, alpha: float, dist: float, c_hat: float) -> float:
-    """Alarm threshold 0.5 lambda exp(-c_hat lambda^(1/alpha)) dist.
-
-    c_hat is the empirically fitted exponent constant of the gain lower bound;
-    callers without a fit should pass their sweep's calibrated value.
-    """
-    return 0.5 * lam * math.exp(-c_hat * lam ** (1.0 / alpha)) * dist
 
 
 @dataclass(frozen=True)
@@ -152,10 +130,8 @@ class BacksteppingSynthesis:
     kb: np.ndarray
     T_mat: np.ndarray
     Tinv_mat: np.ndarray
-    cauchy_mat: np.ndarray
     cauchy_inv: np.ndarray
     tb_residuals: np.ndarray
-    gain_tail_log: float
     log_f: np.ndarray        # log|F_n| of the gain products, n <= N
 
     @property
@@ -175,40 +151,34 @@ def _tb_residuals(cauchy_mat: np.ndarray, kb: np.ndarray) -> np.ndarray:
 
 
 def assemble(model: SpectrumModel, lam: float, N: int,
-             cert: DistCertificate | None = None,
-             floor: float = 0.0) -> BacksteppingSynthesis:
+             cert: DistCertificate | None = None) -> BacksteppingSynthesis:
     """Build the full synthesis and verify its internal identities.
 
-    Gains come from the product route; `floor`, when positive, arms the
-    zero-gain alarm at that threshold (use `gain_floor` with a fitted
-    exponent).  Raises CertificationError if a gain or an entry of the Cauchy
-    inverse overflows float64 (checked before T, T^-1 or any sum is formed),
-    or if T . T^-1 drifts from the identity beyond the assembly alarm
-    tolerance.
+    Gains come from the product route.  Raises CertificationError if a gain
+    or an entry of the Cauchy inverse overflows float64 (checked before T,
+    T^-1 or any sum is formed), or if T . T^-1 drifts from the identity
+    beyond the assembly alarm tolerance, and GainFloorError if a gain
+    vanishes.
     """
     cert = _certify(model, lam, cert)
     sys = CauchySystem.from_model(model, lam, N, cert)
     sep = _separations(sys)            # guarded once for the matrix and its inverse
-    cmat = 1.0 / sep
     products = lagrange_products(sys)
+    b = model.b[:N]
     with np.errstate(over="ignore", invalid="ignore"):    # reported just below
         cinv = _inverse_from_products(sys, products, sep)
-        gains = _product_gains(model, lam, products[0], products[1])
-    _check_finite(gains.values, "gain k", lam)
+        k = _product_kb(lam, products[0], products[1]) / b
+    _check_finite(k, "gain k", lam)
     _check_finite(cinv, "Cauchy inverse", lam)
-    k = gains.values
-    b = model.b[:N]
     kb = k * b
-    _check_nonzero(kb, "product", floor)
+    _check_nonzero(kb, "product")
 
+    cmat = 1.0 / sep
     T = b[:, None] * cmat * k[None, :]
     Tinv = (1.0 / k)[:, None] * cinv * (1.0 / b)[None, :]
-    tb = _tb_residuals(cmat, kb)
-
     synth = BacksteppingSynthesis(model=model, lam=float(lam), N=N, cert=cert,
                                   b=b, k=k, kb=kb, T_mat=T, Tinv_mat=Tinv,
-                                  cauchy_mat=cmat, cauchy_inv=cinv,
-                                  tb_residuals=tb, gain_tail_log=gains.tail_log,
+                                  cauchy_inv=cinv, tb_residuals=_tb_residuals(cmat, kb),
                                   log_f=products[0])
     resid = inverse_residual(synth)
     if resid > _ASSEMBLY_TOL:
@@ -220,6 +190,21 @@ def inverse_residual(synth: BacksteppingSynthesis) -> float:
     """max-norm of T . T^-1 - I at truncation."""
     eye = np.eye(synth.N)
     return float(np.max(np.abs(synth.T_mat @ synth.Tinv_mat - eye)))
+
+
+def gain_cross_check(synth: BacksteppingSynthesis) -> tuple[float, float]:
+    """(gap, bar): the largest |k rowsum - k product| over the modes, and the
+    largest sum of the two routes' roundoff bars.
+
+    The row-sum route sums each row of the explicit inverse exactly, so its
+    bar carries the row's absolute mass; the product gains carry a plain
+    relative bar.  gap <= bar is the cross-check.  Raises GainFloorError if
+    a row sum vanishes.
+    """
+    rowsum = _rowsum_gains(synth.b, synth.cauchy_inv)
+    gap = np.abs(rowsum.values - synth.k)
+    bar = rowsum.roundoff + _term_relerr(synth.N) * np.abs(synth.k)
+    return float(np.max(gap)), float(np.max(bar))
 
 
 @dataclass(frozen=True)

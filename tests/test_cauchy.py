@@ -175,12 +175,14 @@ def test_csum_rows_match_per_row_loop():
 
 def _fsum_rows(mat):
     """Reference for the 2-D `csum`: math.fsum of every row, with real and
-    imaginary parts combined as re + 1j * im, or the first row's exception."""
+    imaginary parts combined as complex(re, im) like the 1-D `csum`, or the
+    first row's exception."""
     try:
-        re = np.array([math.fsum(row.tolist()) for row in mat.real])
+        re = [math.fsum(row.tolist()) for row in mat.real]
         if not np.iscomplexobj(mat):
-            return re.tobytes()
-        return (re + 1j * np.array([math.fsum(row.tolist()) for row in mat.imag])).tobytes()
+            return np.array(re).tobytes()
+        im = [math.fsum(row.tolist()) for row in mat.imag]
+        return np.array([complex(r, i) for r, i in zip(re, im)], dtype=complex).tobytes()
     except (ValueError, OverflowError) as exc:
         return type(exc), str(exc)
 
@@ -250,12 +252,16 @@ def test_csum_rows_shapes_passes_and_specials():
     cases = [np.array([deep]), np.zeros((3, 0)), np.zeros((0, 4)), np.array([[-0.0], [0.0]]),
              rng.standard_normal((150, 7)) * 10.0 ** rng.integers(-300, 300, (150, 7)),
              rng.uniform(1.0, 2.0, (70, 300)), overflow, invalid,
-             np.array([[math.nan, 1.0], [math.inf, 1.0], [-math.inf, 2.0**1020]])]
+             np.array([[math.nan, 1.0], [math.inf, 1.0], [-math.inf, 2.0**1020]]),
+             np.array([[1.0, 2.0], [math.inf, 0.5]])]    # finite real part, infinite imaginary
     for mat in cases:
         assert _csum_rows(mat) == _fsum_rows(mat)
-        with np.errstate(invalid="ignore"):     # 1j * inf has a NaN real part
-            cx = mat + 0.5j * mat[::-1]
-            assert _csum_rows(cx) == _fsum_rows(cx)
+        cx = np.empty(mat.shape, dtype=complex)
+        cx.real, cx.imag = mat, 0.5 * mat[::-1]     # 1j * inf would give a NaN real part
+        assert _csum_rows(cx) == _fsum_rows(cx)
+    # a row keeps its real part beside an infinite imaginary sum, as the 1-D form does
+    z = complex(1.0, math.inf)
+    assert csum(np.array([[z]])).tolist() == [csum(np.array([z]))] == [z]
 
 
 def test_csum_rows_make_no_per_row_fsum_call(monkeypatch):

@@ -168,6 +168,22 @@ def test_null_config_value_exits_2(tmp_path, capsys, key, argv):
     assert f"must not be null: ['{key}']" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key,argv", [
+    ("lam", ("synth", "--lambda", "inf", "--trunc", "8")),
+    ("gamma", ("null-control", "--scale", "32", "--stages", "2", "--sigma", "inf",
+               "--gamma", "inf")),
+    ("t_max", ("simulate", "--lambda", "0.5", "--trunc", "8", "--t-max", "nan")),
+    ("horizon", ("null-control", "--scale", "32", "--stages", "2", "--horizon", "inf")),
+    ("alpha", ("cost-sweep", "--n-range", "1:2", "--trunc", "40", "--alpha", "inf")),
+    ("scale", ("synth", "--lambda", "0.5", "--trunc", "8", "--config", "cfg.json")),
+])
+def test_non_finite_setting_exits_2(tmp_path, capsys, key, argv):
+    (tmp_path / "cfg.json").write_text(json.dumps({"scale": -float("inf")}))   # -Infinity
+    assert run(tmp_path, *argv) == 2
+    assert f"setting {key} must be finite" in capsys.readouterr().err
+    assert [f.name for f in tmp_path.iterdir()] == ["cfg.json"]     # nothing written
+
+
 def test_null_config_value_for_unset_key(tmp_path):
     # a key whose default is itself unset may be null: synth falls back to --n-base
     (tmp_path / "cfg.json").write_text(json.dumps({"lam": None, "trunc": 4}))

@@ -208,22 +208,51 @@ def test_inverse_row_sums_scale():
 
 
 def test_one_product_evaluation_per_synthesis(monkeypatch):
+    # one Lagrange kernel per synthesis, no truncation tail bound that nothing
+    # reads, and one damping grid per sweep point
     import backstep.cauchy as c
+    import backstep.quantitative as q
+    import backstep.spectrum as sp
     import backstep.transform as t
     calls = []
-    real = c.lagrange_products
+    for home, name in ((c, "lagrange_products"), (c, "tail_log_bound"), (sp, "mu_candidates")):
+        real = getattr(home, name)
 
-    def counted(sys):
-        calls.append(sys.n)
-        return real(sys)
+        def counted(*args, _name=name, _real=real):
+            calls.append((_name, args))
+            return _real(*args)
 
-    for mod in (c, t):
-        monkeypatch.setattr(mod, "lagrange_products", counted)
+        for mod in (c, t, q, sp):
+            if getattr(mod, name, None) is real:
+                monkeypatch.setattr(mod, name, counted)
+
+    def sizes(name):
+        return [args[0].n for n, args in calls if n == name]
+
     assemble(heat(), 0.5, 16)
-    assert calls == [16]
+    assert [n for n, _ in calls] == ["lagrange_products"] and sizes("lagrange_products") == [16]
     calls.clear()
     res = cost_sweep(heat(), range(1, 5), 48)
-    assert len(res.points) == 4 and calls == [48] * 4
+    assert len(res.points) == 4 and sizes("lagrange_products") == [48] * 4
+    assert [args[1] for n, args in calls if n == "mu_candidates"] == [1, 2, 3, 4]
+    assert not [n for n, _ in calls if n == "tail_log_bound"]
+
+
+@pytest.mark.parametrize("kind", [Kind.SELF_ADJOINT, Kind.SKEW_ADJOINT])
+def test_gain_cross_check_bits(kind):
+    # the sweep's cross-check, written out from the row-sum route and its bars
+    from backstep.cauchy import csum
+    from backstep.transform import _term_relerr, gain_cross_check
+    m = make_spectrum(kind, 2.0, 1.0, 128)
+    for base, N in ((2, 32), (6, 100)):
+        mu, cert = select_mu(m, base)
+        s = assemble(m, mu, N, cert)
+        rows = feedback_gains_rowsum(m, mu, N, cert)
+        assert rows.values.tobytes() == (csum(s.cauchy_inv) / s.b).tobytes()
+        gap = float(np.max(np.abs(rows.values - s.k)))
+        bar = float(np.max(rows.roundoff + _term_relerr(N) * np.abs(s.k)))
+        assert gain_cross_check(s) == (gap, bar)
+        assert gap <= bar
 
 
 def test_synthesis_log_f_matches_all_F():
