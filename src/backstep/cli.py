@@ -194,9 +194,14 @@ def _resolve_lambda(model, cfg):
 def _initial_state(cfg, n):
     if cfg.get("y0_file"):
         vals = json.loads(Path(cfg["y0_file"]).read_text(encoding="utf-8"))
-        y = np.asarray(vals, dtype=float)
+        try:
+            y = np.asarray(vals, dtype=float)
+        except (TypeError, ValueError):
+            raise ValueError(f"y0 file must hold a JSON list of {n} numbers") from None
         if y.shape != (n,):
-            raise ValueError(f"y0 file has length {y.size}, schedule needs {n}")
+            raise ValueError(f"y0 file has shape {y.shape}, the state needs ({n},)")
+        if not np.all(np.isfinite(y)):
+            raise ValueError("y0 file entries must be finite numbers (no null, inf or nan)")
     elif cfg.get("y0_random"):
         rng = np.random.default_rng(int(cfg["seed"]))
         y = rng.standard_normal(n)
@@ -273,7 +278,10 @@ def cmd_simulate(cfg) -> int:
     lam, cert = _resolve_lambda(model, cfg)
     synth = assemble(model, lam, trunc, cert)
     y0 = _initial_state(cfg, trunc)
-    ts = np.linspace(0.0, float(cfg["t_max"]), int(cfg["t_steps"]) + 1)
+    t_steps = int(cfg["t_steps"])
+    if t_steps < 0:
+        raise ValueError(f"t_steps must be non-negative, got {t_steps}")
+    ts = np.linspace(0.0, float(cfg["t_max"]), t_steps + 1)
     rows = []
     for t in ts:
         yt = propagate(synth, y0, float(t))

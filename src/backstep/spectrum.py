@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import CertificationError
 
-# dist_alpha enumeration refuses to walk past this many indices
+# dist_alpha and mu_candidates refuse to go past this many indices
 DEFAULT_INDEX_LIMIT = 2_000_000
 
 
@@ -79,8 +79,9 @@ def make_spectrum(kind: Kind | str,
     consecutive gap is at most ``scale * (2**alpha - 1) * n**(alpha-1)``.
     """
     kind = Kind(kind)
-    if not alpha > 1:
-        raise ValueError(f"alpha must exceed 1 (got {alpha}); the construction degenerates at alpha <= 1")
+    if not 1 < alpha < math.inf:
+        raise ValueError(f"alpha must exceed 1 and be finite (got {alpha}); "
+                         "the construction degenerates at alpha <= 1")
     if scale <= 0:
         raise ValueError("scale must be positive")
     if n_max < 2:
@@ -105,11 +106,13 @@ def make_tabulated(kind: Kind | str,
     certified operations will refuse to run on gap_c == 0.
     """
     kind = Kind(kind)
-    if not alpha > 1:
-        raise ValueError(f"alpha must exceed 1 (got {alpha})")
+    if not 1 < alpha < math.inf:
+        raise ValueError(f"alpha must exceed 1 and be finite (got {alpha})")
     vals = np.asarray(eigenvalues, dtype=complex)
     if vals.ndim != 1 or vals.size < 2:
         raise ValueError("need at least two eigenvalues")
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("eigenvalues must be finite")
     if kind is Kind.SELF_ADJOINT:
         levels = -vals.real
     else:
@@ -137,8 +140,8 @@ def _materialize_b(b_law, n_max: int) -> np.ndarray:
         b = np.asarray(b_law, dtype=float)
         if b.shape != (n_max,):
             raise ValueError(f"b sequence must have length {n_max}")
-    if np.min(b) <= 0:
-        raise ValueError("b must be bounded below away from zero (all entries positive)")
+    if not np.all((b > 0) & (b < math.inf)):
+        raise ValueError("b must be finite and bounded below away from zero (all entries positive)")
     return b
 
 
@@ -256,10 +259,19 @@ def dist_alpha(model: SpectrumModel, lam: float) -> DistCertificate:
     """Exact Dist_alpha(lambda) = inf_{i,j} |lambda_j - lambda_i + lambda|.
 
     Skew-adjoint: the infimum is `lam` itself, attained at i = j.
-    Self-adjoint: the i = j pairs cap the value at `lam`; any pair beating the
-    cap has a positive level difference within (0, lam + c), which confines the
-    smaller index to a finite certified range and the larger one to a bisection
-    on the monotone level sequence.  The returned minimum is exact.
+    Self-adjoint: with D = ell_j - ell_i the distance is |D - lam|.  The i = j
+    pairs cap it at `lam`; a pair beats the cap only if 0 < D < 2 lam, so
+    j > i, and the certified pairwise gap D >= c j^(alpha-1) (j-i) >=
+    c j^(alpha-1) puts both indices below (2 lam / c)^(1/(alpha-1)) < n_cap.
+    Pairs with j <= i have D <= 0 and so |D - lam| >= lam (also in floating
+    point, where rounding is monotone): they never beat the cap.
+
+    One array pass finds each row's nearest level: `searchsorted` gives the
+    first level m at or above ell_i + lam.  The levels strictly increase, so
+    |D - lam| does not increase in j below m and does not decrease from m on:
+    the nearest level is m - 1 or m, never m + 1.  The result is the first
+    minimum of these 2 n_cap candidates in (i, j) order if it is below `lam`,
+    else `lam` at (1, 1): the strict-< tie-break of a pair-by-pair scan.
     """
     if lam <= 0:
         raise ValueError("lambda must be positive")
@@ -270,46 +282,44 @@ def dist_alpha(model: SpectrumModel, lam: float) -> DistCertificate:
     c = model.gap_c
     if not c > 0:
         raise CertificationError("model has no positive gap constant; cannot certify distances")
-    n_cap = int(((lam + 2.0 * c) / c) ** (1.0 / (model.alpha - 1.0))) + 2
-    if n_cap > DEFAULT_INDEX_LIMIT:
-        raise ValueError(f"enumeration bound {n_cap} exceeds index limit {DEFAULT_INDEX_LIMIT}")
+    n_cap = _index_bound(2.0 * lam / c, model.alpha, "enumeration bound")
     if model.tabulated and n_cap > model.n_max:
         raise CertificationError(
             f"Dist_alpha({lam}) needs levels up to index {n_cap}, but the tabulated spectrum "
             f"has {model.n_max}; a certificate would cover only the tabulated modes")
 
-    best = lam
-    witness = (1, 1)
-    for n in range(1, n_cap + 1):
-        target = model.level(n) + lam
-        m = _nearest_level_index(model, target, lo=n + 1)
-        for cand in (m - 1, m, m + 1):
-            if cand <= n:
-                continue
-            try:
-                d = abs((model.level(cand) - model.level(n)) - lam)
-            except ValueError:       # tabulated spectrum exhausted
-                continue
-            if d < best:
-                best = d
-                witness = (n, cand)
-    return DistCertificate(lam=lam, dist=best, witness_pair=witness)
+    # levels ell_1..ell_K with ell_K >= ell_{n_cap} + lam, then an infinite
+    # sentinel that stands for "no level" at index -1 and past the table
+    ell = np.append(_levels_through(model, model.level(n_cap) + lam), np.inf)
+    m = np.searchsorted(ell, ell[:n_cap] + lam)
+    j = np.stack((m - 1, m), axis=1)
+    d = np.abs((ell[j] - ell[:n_cap, None]) - lam)
+    first = int(np.argmin(d))
+    if not d.flat[first] < lam:
+        return DistCertificate(lam=lam, dist=lam, witness_pair=(1, 1))
+    return DistCertificate(lam=lam, dist=float(d.flat[first]),
+                           witness_pair=(first // 2 + 1, int(j.flat[first]) + 1))
 
 
-def _nearest_level_index(model: SpectrumModel, target: float, lo: int) -> int:
-    """Smallest m >= lo with ell_m >= target (levels are strictly increasing)."""
-    if model.tabulated and model.level(model.n_max) < target:
-        return model.n_max
-    hi = max(lo, 2)
-    while model.level(hi) < target:
-        hi = min(hi * 2, model.n_max) if model.tabulated else hi * 2
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if model.level(mid) < target:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
+def _levels_through(model: SpectrumModel, target: float) -> np.ndarray:
+    """ell_1..ell_K with ell_K >= target; the whole table if tabulated."""
+    if model.tabulated or model.levels[-1] >= target:
+        return model.levels
+    top = int((target / model.scale) ** (1.0 / model.alpha)) + 2
+    # past n_max, `level` fixes the bits: np.power can differ in the last one
+    tail = list(map(model.level, range(model.n_max + 1, top + 1)))
+    return np.concatenate((model.levels, tail))
+
+
+def _index_bound(ratio: float, alpha: float, what: str) -> int:
+    """int(ratio^(1/(alpha-1))) + 2, refused past DEFAULT_INDEX_LIMIT."""
+    try:
+        bound = int(ratio ** (1.0 / (alpha - 1.0))) + 2
+    except OverflowError:
+        bound = math.inf
+    if bound > DEFAULT_INDEX_LIMIT:
+        raise ValueError(f"{what} {bound} exceeds index limit {DEFAULT_INDEX_LIMIT}")
+    return bound
 
 
 def mu_candidates(model: SpectrumModel, N: int) -> tuple[np.ndarray, int, float]:
@@ -317,7 +327,8 @@ def mu_candidates(model: SpectrumModel, N: int) -> tuple[np.ndarray, int, float]
 
     M_N = floor(((N + c)/c)^(1/(alpha-1))) + 2, grid points
     N + c (1 + 2i)/(2 M_N) for i = 0..M_N-1, floor c/(2 M_N); at least one grid
-    point is guaranteed to satisfy Dist_alpha >= floor.
+    point is guaranteed to satisfy Dist_alpha >= floor.  A grid of more than
+    DEFAULT_INDEX_LIMIT points is refused before it is allocated.
     """
     if model.kind is not Kind.SELF_ADJOINT:
         raise ValueError("candidate grids apply to self-adjoint models only")
@@ -326,7 +337,7 @@ def mu_candidates(model: SpectrumModel, N: int) -> tuple[np.ndarray, int, float]
     c = model.gap_c
     if not c > 0:
         raise CertificationError("model has no positive gap constant")
-    M_N = int(math.floor(((N + c) / c) ** (1.0 / (model.alpha - 1.0)))) + 2
+    M_N = _index_bound((N + c) / c, model.alpha, "candidate grid size")
     i = np.arange(M_N, dtype=float)
     grid = N + c * (1.0 + 2.0 * i) / (2.0 * M_N)
     return grid, M_N, c / (2.0 * M_N)
@@ -376,16 +387,25 @@ def model_to_json(model: SpectrumModel) -> str:
 
 def model_from_json(text: str) -> SpectrumModel:
     doc = json.loads(text)
-    kind = Kind(doc["kind"])
-    alpha = float(doc["alpha"])
-    n_max = int(doc["n_max"])
-    b = np.asarray(doc["b"], dtype=float)
-    eig = np.array([complex(re, im) for re, im in doc["eigenvalues"]])
+    if not isinstance(doc, dict):
+        raise ValueError("model document must be a JSON object")
+
+    def field(key, convert):
+        try:
+            return convert(doc[key])
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"model field {key!r} is malformed: {exc}") from None
+
+    kind = field("kind", Kind)
+    alpha = field("alpha", float)
+    n_max = field("n_max", int)
+    b = field("b", lambda v: np.asarray(v, dtype=float))
+    eig = field("eigenvalues", lambda v: np.array([complex(re, im) for re, im in v]))
     if b.shape != (n_max,) or eig.shape != (n_max,):
         raise ValueError("model document lengths disagree with n_max")
     scale = doc.get("scale")
     if scale is not None:
-        law = make_spectrum(kind, alpha, float(scale), n_max, b)
+        law = make_spectrum(kind, alpha, field("scale", float), n_max, b)
         if np.array_equal(law.eigenvalues, eig):
             return law
     return make_tabulated(kind, alpha, eig, b)

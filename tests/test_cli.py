@@ -1,9 +1,10 @@
 import json
 
+import numpy as np
 import pytest
 
 from backstep.cli import main
-from backstep.spectrum import Kind, make_tabulated, model_to_json
+from backstep.spectrum import Kind, make_spectrum, make_tabulated, model_to_json
 
 
 def run(tmp_path, *argv):
@@ -44,6 +45,44 @@ def test_tabulated_spectrum_past_table_exits_3(tmp_path, capsys):
 def test_malformed_model_exits_2(tmp_path):
     (tmp_path / "junk.json").write_text("{not json")
     assert run(tmp_path, "synth", "--model", "junk.json") == 2
+
+
+def _law_doc(**changes):
+    doc = json.loads(model_to_json(make_spectrum(Kind.SELF_ADJOINT, 2.0, 1.0, 4)))
+    doc.update(changes)
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("text,reason", [
+    (_law_doc(alpha=None), "'alpha'"),
+    (_law_doc(n_max=None), "'n_max'"),
+    (_law_doc().replace('"alpha": 2.0', '"alpha": 1e400'), "alpha must exceed 1 and be finite"),
+    (_law_doc(scale="x"), "'scale'"),
+    (_law_doc(eigenvalues=[[None, 0], [-4, 0], [-9, 0], [-16, 0]]), "'eigenvalues'"),
+    (_law_doc(b={"a": 1}), "'b'"),
+    (_law_doc(b=[None, 1, 1, 1]), "b must be finite"),
+    (_law_doc().replace('"b": [1.0', '"b": [1e400'), "b must be finite"),
+    (_law_doc().replace("[-1.0, 0.0]", "[-1e400, 0.0]"), "eigenvalues must be finite"),
+    ("[1, 2]", "must be a JSON object"),
+], ids=["alpha-null", "n_max-null", "alpha-overflow", "scale-text", "eigenvalue-null", "b-object", "b-null",
+        "b-overflow", "eigenvalue-overflow", "not-an-object"])
+def test_malformed_model_document_exits_2(tmp_path, capsys, text, reason):
+    (tmp_path / "m.json").write_text(text)
+    assert run(tmp_path, "synth", "--model", "m.json", "--lambda", "0.5", "--trunc", "4") == 2
+    assert reason in capsys.readouterr().err
+
+
+def test_tabulated_synth_reports_exact_distance(tmp_path):
+    tab = -np.cumsum(np.random.default_rng(14).uniform(0.5, 9.0, 120)) - 0.25
+    (tmp_path / "tab.json").write_text(model_to_json(make_tabulated(Kind.SELF_ADJOINT, 2.0, tab)))
+    assert run(tmp_path, "synth", "--model", "tab.json", "--lambda", "0.30246121477323656",
+               "--trunc", "4") == 0
+    assert json.loads((tmp_path / "synthesis.json").read_text())["dist"] == 0.23912908410421535
+
+
+def test_cost_sweep_grid_past_index_limit_exits_2(tmp_path, capsys):
+    assert run(tmp_path, "cost-sweep", "--alpha", "1.05", "--n-range", "5:5", "--trunc", "8") == 2
+    assert "exceeds index limit" in capsys.readouterr().err
 
 
 def test_cauchy_verify(tmp_path):
@@ -101,6 +140,25 @@ def test_simulate_trajectory(tmp_path):
     assert len(lines) == 6
 
 
+@pytest.mark.parametrize("y0,reason", [
+    ("[null, 1, 0, 0]", "finite"),
+    ("[1e400, 0, 0, 0]", "finite"),
+    ('{"a": 1}', "JSON list of 4 numbers"),
+    ("[[1], [2], [3], [4]]", "shape (4, 1)"),
+], ids=["null-entry", "overflow", "object", "column"])
+def test_simulate_bad_y0_exits_2(tmp_path, capsys, y0, reason):
+    (tmp_path / "y0.json").write_text(y0)
+    assert run(tmp_path, "simulate", "--lambda", "0.5", "--trunc", "4", "--y0-file", "y0.json") == 2
+    assert reason in capsys.readouterr().err
+    assert not (tmp_path / "trajectory.csv").exists()
+
+
+def test_simulate_negative_t_steps_exits_2(tmp_path, capsys):
+    assert run(tmp_path, "simulate", "--lambda", "0.5", "--trunc", "4", "--t-steps", "-1") == 2
+    assert "t_steps" in capsys.readouterr().err
+    assert not (tmp_path / "trajectory.csv").exists()
+
+
 def test_null_control_outputs(tmp_path):
     assert run(tmp_path, "null-control", "--scale", "32", "--stages", "3",
                "--trunc", "48") == 0
@@ -129,6 +187,17 @@ def test_null_control_bad_y0_exits_2(tmp_path):
     (tmp_path / "y0.json").write_text("[1.0, 2.0]")
     assert run(tmp_path, "null-control", "--scale", "32", "--stages", "2",
                "--trunc", "48", "--y0-file", "y0.json") == 2
+
+
+@pytest.mark.parametrize("y0,reason", [
+    (json.dumps([None] + [0.0] * 47), "finite"),
+    ('{"a": 1}', "JSON list of 48 numbers"),
+], ids=["null-entry", "object"])
+def test_null_control_non_numeric_y0_exits_2(tmp_path, capsys, y0, reason):
+    (tmp_path / "y0.json").write_text(y0)
+    assert run(tmp_path, "null-control", "--scale", "32", "--stages", "2",
+               "--trunc", "48", "--y0-file", "y0.json") == 2
+    assert reason in capsys.readouterr().err
 
 
 def test_null_control_zero_stages_exits_2(tmp_path):
@@ -216,7 +285,6 @@ def test_determinism_null_control_with_seed(tmp_path):
 
 
 def test_model_file_roundtrip_through_cli(tmp_path):
-    from backstep.spectrum import make_spectrum
     m = make_spectrum(Kind.SELF_ADJOINT, 2.0, 1.0, 32)
     (tmp_path / "model.json").write_text(model_to_json(m))
     assert run(tmp_path, "synth", "--model", "model.json", "--lambda", "0.5",

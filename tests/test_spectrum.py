@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from backstep.errors import CertificationError
 from backstep.spectrum import (Kind, dist_alpha, make_spectrum, make_tabulated,
@@ -16,6 +17,31 @@ def brute_dist(model, lam, m_cap=300):
     lv = np.array([model.level(n) for n in range(1, m_cap + 1)])
     diffs = lv[:, None] - lv[None, :]          # ell_i - ell_j = lambda_j - lambda_i
     return float(np.min(np.abs(diffs + lam)))
+
+
+def brute_cert(model, lam, K):
+    """Independent oracle: the first minimal |(ell_j - ell_i) - lam| over
+    1 <= i < j <= K in (i, j) order if it is below lam, else lam at (1, 1)."""
+    lv = np.array([model.level(n) for n in range(1, K + 1)])
+    d = np.abs((lv[None, :] - lv[:, None]) - lam)
+    d[np.tril_indices(K)] = np.inf
+    first = int(np.argmin(d))
+    if d.flat[first] < lam:
+        return float(d.flat[first]), (first // K + 1, first % K + 1)
+    return lam, (1, 1)
+
+
+def law_reach(model, lam):
+    """Levels a power law needs enumerated: its gaps grow, so once
+    ell_K - ell_{K-1} > 2 lam every pair with j >= K has |D - lam| > lam."""
+    K = 2
+    while model.level(K) - model.level(K - 1) <= 2.0 * lam:
+        K += 1
+    return K
+
+
+def table(seed, size=120):
+    return -np.cumsum(np.random.default_rng(seed).uniform(0.5, 9.0, size)) - 0.25
 
 
 def test_default_eigenvalues():
@@ -98,14 +124,70 @@ def test_dist_examples():
 @pytest.mark.parametrize("lam", [0.25, 1.375, 2.9999, 3.0001, 5.0, 7.3, 11.04, 16.5, 24.97])
 def test_dist_against_bruteforce(lam):
     m = heat(64)
-    assert dist_alpha(m, lam).dist == pytest.approx(brute_dist(m, lam), abs=1e-12)
+    assert dist_alpha(m, lam).dist == brute_dist(m, lam)
 
 
 @pytest.mark.parametrize("alpha,scale", [(1.5, 1.0), (2.0, 1.0), (3.0, 0.5)])
 def test_dist_bruteforce_other_laws(alpha, scale):
     m = make_spectrum(Kind.SELF_ADJOINT, alpha, scale, 64)
     for lam in (0.8, 2.45, 6.11):
-        assert dist_alpha(m, lam).dist == pytest.approx(brute_dist(m, lam), abs=1e-12)
+        assert dist_alpha(m, lam).dist == brute_dist(m, lam)
+
+
+@pytest.mark.parametrize("alpha,scale", [(1.5, 0.3), (2.0, 1.0), (3.0, 32.0)])
+def test_dist_matches_enumeration_past_n_max(alpha, scale):
+    m = make_spectrum(Kind.SELF_ADJOINT, alpha, scale, 4)      # most levels lie past n_max
+    lv = [m.level(n) for n in range(1, 30)]
+    lams = [lv[j] - lv[i] for i in range(6) for j in range(i + 1, 12)]          # resonant
+    lams += list(np.random.default_rng(5).uniform(1e-3, 6.0 * scale, 60))
+    for lam in lams:
+        cert = dist_alpha(m, float(lam))
+        assert (cert.dist, cert.witness_pair) == brute_cert(m, float(lam), law_reach(m, lam))
+
+
+def test_dist_matches_enumeration_tabulated():
+    issued = 0
+    for seed in range(20):
+        m = make_tabulated(Kind.SELF_ADJOINT, 2.0, table(seed))
+        for lam in np.random.default_rng(seed).uniform(0.0, 1.0, 20):
+            try:
+                cert = dist_alpha(m, float(lam))
+            except CertificationError:
+                continue
+            issued += 1
+            assert (cert.dist, cert.witness_pair) == brute_cert(m, float(lam), m.n_max)
+    assert issued >= 50
+
+
+def test_dist_tabulated_pair_past_the_old_bound():
+    # the nearest pair (72, 73) lies past ((lam + 2c)/c)^(1/(alpha-1)) + 2 = 60,
+    # which is too small an index bound once lam > 2c
+    m = make_tabulated(Kind.SELF_ADJOINT, 2.0, table(14))
+    cert = dist_alpha(m, 0.30246121477323656)
+    assert cert.dist == 0.23912908410421535 and cert.witness_pair == (72, 73)
+
+
+@settings(max_examples=150, deadline=None)
+@given(alpha=st.floats(1.2, 3.0), scale=st.floats(0.1, 40.0), n_max=st.integers(2, 40),
+       k_top=st.integers(2, 150), frac=st.floats(1e-6, 1.0))
+def test_dist_law_property(alpha, scale, n_max, k_top, frac):
+    m = make_spectrum(Kind.SELF_ADJOINT, alpha, scale, n_max)
+    lam = frac * (m.level(k_top) - m.level(k_top - 1)) / 2.0
+    cert = dist_alpha(m, lam)
+    assert (cert.dist, cert.witness_pair) == brute_cert(m, lam, law_reach(m, lam))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), alpha=st.sampled_from([1.5, 2.0, 2.5]),
+       size=st.integers(3, 120), lam=st.floats(0.0, 1.0, exclude_min=True))
+def test_dist_table_property(seed, alpha, size, lam):
+    m = make_tabulated(Kind.SELF_ADJOINT, alpha, table(seed, size))
+    try:
+        cert = dist_alpha(m, lam)
+    except CertificationError as exc:
+        assert "only the tabulated modes" in str(exc)
+        return
+    assert (cert.dist, cert.witness_pair) == brute_cert(m, lam, m.n_max)
 
 
 def test_dist_lipschitz():
@@ -143,6 +225,15 @@ def test_mu_candidates_examples():
         mu_candidates(m, 0)
     with pytest.raises(ValueError):
         mu_candidates(make_spectrum(Kind.SKEW_ADJOINT, 2.0, 1.0, 8), 1)
+
+
+@pytest.mark.parametrize("alpha", [1.05, 1.001])      # 6^20 points; 6^1000 overflows a float
+def test_mu_candidates_index_limit(alpha):
+    m = make_spectrum(Kind.SELF_ADJOINT, alpha, 1.0, 8)
+    with pytest.raises(ValueError, match="candidate grid size .* exceeds index limit"):
+        mu_candidates(m, 5)
+    with pytest.raises(ValueError, match="enumeration bound .* exceeds index limit"):
+        dist_alpha(m, 5.5)
 
 
 def test_select_mu_examples():
