@@ -1,22 +1,26 @@
 """Truncated Cauchy matrices and their explicit Lagrange-product inverses.
 
-The transformation core is the matrix with entries 1/(x_i - y_j) built from
-x_i = lambda_i and y_j = lambda_j + lambda.  Its inverse has a closed form,
+The transformation core is the matrix C with entries 1/(x_i - x_j - lambda)
+on the nodes x_i = lambda_i.  The differences x_i - x_j are formed once per
+system (`CauchySystem.dx`) and shared by C and the Lagrange products; with
+integer levels they are exact.  The inverse has a closed form (Schechter,
+"On the inversion of certain matrices", MTAC 13, 1959),
 
-    inv[i, j] = lambda^2 / (lambda_j - lambda_i - lambda)
-                * prod_{m != i} (1 + lambda / (lambda_i - lambda_m))
-                * prod_{n != j} (1 - lambda / (lambda_j - lambda_n)),
+    C^-1 = lambda^2 diag(P) C^T diag(Q),
+    P_i = prod_{m != i} (1 + lambda / (lambda_i - lambda_m)),
+    Q_j = prod_{n != j} (1 - lambda / (lambda_j - lambda_n)),
 
-whose factors reach magnitudes of order exp(c lambda^(1/alpha)); every product
-here is therefore accumulated in the log domain with separate unit-modulus
-sign tracking.  The independent brute-force inversion oracle lives in
-`backstep.oracles`.
+so the inverse is C itself, transposed and scaled by two diagonals.  The
+products reach magnitudes of order exp(c lambda^(1/alpha)); they are
+accumulated in the log domain with separate unit-modulus sign tracking.  The
+independent brute-force inversion oracle lives in `backstep.oracles`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -102,7 +106,7 @@ def _row_sums(mat: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CauchySystem:
-    """Node sequences x_i = lambda_i and y_j = lambda_j + lambda at truncation N.
+    """Nodes x_i = lambda_i, i <= N, and the damping lambda of one truncation.
 
     Self-adjoint nodes are real (float64), so the whole synthesis runs in real
     arithmetic; skew-adjoint nodes are purely imaginary.  `min_sep`, when set
@@ -110,7 +114,6 @@ class CauchySystem:
     closer than the certified distance means the certificate is stale.
     """
     x: np.ndarray
-    y: np.ndarray
     lam: float
     min_sep: float | None = None
 
@@ -118,39 +121,40 @@ class CauchySystem:
     def n(self) -> int:
         return self.x.size
 
+    @cached_property
+    def dx(self) -> np.ndarray:
+        """x_i - x_j, formed once for C and the Lagrange products; read-only."""
+        dx = self.x[:, None] - self.x[None, :]
+        dx.flags.writeable = False
+        return dx
+
     @classmethod
     def from_model(cls, model: SpectrumModel, lam: float, N: int,
                    cert=None) -> "CauchySystem":
         if N < 1 or N > model.n_max:
             raise ValueError(f"truncation N={N} outside [1, {model.n_max}]")
         x = -model.levels[:N] if model.kind is Kind.SELF_ADJOINT else model.eigenvalues[:N]
-        return cls(x=x, y=x + lam, lam=float(lam),
-                   min_sep=None if cert is None else cert.dist)
+        return cls(x=x, lam=float(lam), min_sep=None if cert is None else cert.dist)
 
 
 def _separations(sys: CauchySystem) -> np.ndarray:
-    """The matrix x_i - y_j, after the resonance and stale-certificate guard."""
-    sep = sys.x[:, None] - sys.y[None, :]
-    _guard(sys, sep)
-    return sep
-
-
-def _guard(sys: CauchySystem, sep: np.ndarray) -> None:
+    """(x_i - x_j) - lambda after the resonance and stale-certificate guard.
+    On a self-adjoint model these are `dist_alpha`'s own float operations, so
+    a valid certificate's distance holds with no slack."""
+    sep = sys.dx - sys.lam
     dist = np.abs(sep)
     m = float(np.min(dist))
     if m == 0.0:
         i, j = np.unravel_index(int(np.argmin(dist)), sep.shape)
-        raise ResonanceError(f"x_{i+1} equals y_{j+1}: lambda hits an eigenvalue difference")
-    if sys.min_sep is not None:
-        # forming y = x + lambda rounds at the magnitude of the largest node
-        slack = 32.0 * np.finfo(float).eps * max(1.0, float(np.max(np.abs(sys.x))))
-        if m < sys.min_sep - slack:
-            raise ResonanceError(
-                f"node separation {m} below certified distance {sys.min_sep}: stale certificate")
+        raise ResonanceError(f"lambda equals x_{i+1} - x_{j+1}, an eigenvalue difference")
+    if sys.min_sep is not None and m < sys.min_sep:
+        raise ResonanceError(
+            f"node separation {m} below certified distance {sys.min_sep}: stale certificate")
+    return sep
 
 
 def build_cauchy(sys: CauchySystem) -> np.ndarray:
-    """N x N matrix with entries 1/(x_i - y_j) = 1/(lambda_i - lambda_j - lambda)."""
+    """N x N matrix C with entries 1/(x_i - x_j - lambda) = 1/(lambda_i - lambda_j - lambda)."""
     return _realized(sys, 1.0 / _separations(sys))
 
 
@@ -161,19 +165,19 @@ def lagrange_products(sys: CauchySystem) -> tuple[np.ndarray, np.ndarray, np.nda
       P_i = prod_{m != i} (1 + lambda / (lambda_i - lambda_m)),
       Q_j = prod_{n != j} (1 - lambda / (lambda_j - lambda_n)).
     """
-    dx = sys.x[:, None] - sys.x[None, :]
-    if np.count_nonzero(dx == 0.0) > sys.n:
+    dx = sys.dx
+    off = dx != 0.0
+    if dx.size - np.count_nonzero(off) > sys.n:
         raise ResonanceError("repeated eigenvalue: Lagrange products need simple nodes")
-    np.fill_diagonal(dx, 1.0)          # excluded index, neutral factor below
     # complex division by a zero-imaginary divisor computes a * (1/b), so every
-    # division here is that reciprocal product: real and complex nodes round alike
-    q = sys.lam * (1.0 / dx)
+    # division here is that reciprocal product: real and complex nodes round
+    # alike.  The diagonal (m = i) gets q = 0, a neutral factor below.
+    q = sys.lam * np.divide(1.0, dx, out=np.zeros_like(dx), where=off)
     return _log_signed_rows(1.0 + q) + _log_signed_rows(1.0 - q)
 
 
 def _log_signed_rows(factors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row products of `factors` without the diagonal: (log magnitude, unit sign)."""
-    np.fill_diagonal(factors, 1.0)
+    """Row products of `factors`: (log magnitude, unit sign)."""
     if np.any(factors == 0.0):
         raise ResonanceError("a Lagrange factor vanished: lambda equals lambda_i - lambda_m exactly")
     mag = np.abs(factors)
@@ -181,25 +185,14 @@ def _log_signed_rows(factors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def explicit_inverse(sys: CauchySystem) -> np.ndarray:
-    """Closed-form inverse of `build_cauchy(sys)` via Lagrange products.
+    """Closed-form inverse of `build_cauchy(sys)`: lambda^2 diag(P) C^T diag(Q).
 
-    Entry (i, j) = lambda^2/(lambda_j - lambda_i - lambda) * P_i * Q_j; the
+    Entry (i, j) = lambda^2 P_i Q_j / (lambda_j - lambda_i - lambda); the
     empty products at N = 1 are 1, so the single entry is -lambda.
     """
-    return _inverse_from_products(sys, lagrange_products(sys), _separations(sys))
-
-
-def _inverse_from_products(sys: CauchySystem, products, sep: np.ndarray) -> np.ndarray:
-    """`explicit_inverse` from the evaluated `lagrange_products(sys)` and the
-    guarded separations `_separations(sys)`."""
-    log_p, sgn_p, log_q, sgn_q = products
-    # lambda_j - lambda_i - lambda = -(x_i - y_j) transposed: x_j - y_i
-    pref = sep.T
-    mag = np.abs(pref)
-    log_mag = 2.0 * math.log(sys.lam) - np.log(mag) + log_p[:, None] + log_q[None, :]
-    # reciprocal product, not a division: see lagrange_products
-    sign = np.conj(pref) * (1.0 / mag) * sgn_p[:, None] * sgn_q[None, :]
-    return _realized(sys, sign * np.exp(log_mag))
+    log_p, sgn_p, log_q, sgn_q = lagrange_products(sys)
+    p = sys.lam ** 2 * (sgn_p * np.exp(log_p))
+    return p[:, None] * build_cauchy(sys).T * (sgn_q * np.exp(log_q))[None, :]
 
 
 def _realized(sys: CauchySystem, mat: np.ndarray) -> np.ndarray:

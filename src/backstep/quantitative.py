@@ -53,8 +53,7 @@ class CostReport:
     kb_inf: float
     F_inf: float
     tb_max: float
-    cross_gap: float          # max |k rowsum - k product| over all modes
-    cross_bar: float          # combined certified bar for that gap
+    cross_ratio: float        # worst per-row gap/bar of the row-sum vs product gains
     fitted_exponent: float | None = None
 
     @property
@@ -75,7 +74,6 @@ class SweepResult:
 def _sweep_point(model: SpectrumModel, base: int, trunc: int) -> CostReport:
     mu, cert = select_mu(model, base)
     synth = assemble(model, mu, trunc, cert)
-    cross_gap, cross_bar = gain_cross_check(synth)
     log_f = synth.log_f[:probe_depth(mu, model.alpha, trunc)]
     return CostReport(
         base=base, lam=mu, dist=cert.dist,
@@ -83,7 +81,7 @@ def _sweep_point(model: SpectrumModel, base: int, trunc: int) -> CostReport:
         k_sup=float(np.max(np.abs(synth.k))), k_inf=float(np.min(np.abs(synth.k))),
         kb_inf=float(np.min(np.abs(synth.kb))),
         F_inf=float(np.exp(np.min(log_f))), tb_max=synth.tb_residual_max,
-        cross_gap=cross_gap, cross_bar=cross_bar)
+        cross_ratio=gain_cross_check(synth))
 
 
 def cost_sweep(model: SpectrumModel, bases, trunc: int) -> SweepResult:

@@ -2,16 +2,18 @@
 
 All matrices act on coefficient vectors in the eigenbasis: `T_mat[p, n]` is
 the table entry <T phi_n, phi_p> = k_n b_p / (lambda_p - lambda_n - lambda),
-so `T_mat @ f` are the coefficients of T f.  The assembled operator is the
-diagonal factorization  T = diag(b) @ cauchy @ diag(k)  and its inverse
-T^-1 = diag(1/k) @ cauchy_inv @ diag(1/b).
+so `T_mat @ f` are the coefficients of T f.  T and T^-1 share one Cauchy
+matrix C_pn = 1/(lambda_p - lambda_n - lambda):
 
-The gains are defined by the uniqueness condition T B = B, equivalently
-k_n b_n = sum_j cauchy_inv[n, j].  That row sum telescopes to the closed form
-k_n b_n = -lambda * F_n(lambda) (the finite truncation of the rearrangement
-identity, whose sum factor is exactly 1 at every truncation), which is the
-numerically stable route: the raw row sum cancels catastrophically once
-lambda is large.  Both routes are exposed and must agree within their bars.
+    T = diag(b) C diag(k),     T^-1 = -lambda diag(b) C^T diag(Q / b),
+
+from C^-1 = lambda^2 diag(P) C^T diag(Q) and k_n b_n = -lambda P_n (P cancels).
+
+The gains solve the uniqueness condition T B = B.  The product route
+k_n b_n = -lambda P_n = -lambda F_n(lambda) has plain relative error.  The
+row-sum route k_n b_n = sum_j (C^-1)_nj agrees with it by the partial-fraction
+identity lambda sum_j Q_j / (lambda_j - lambda_n - lambda) = -1, but cancels
+catastrophically once lambda is large; `gain_cross_check` compares the two.
 """
 
 from __future__ import annotations
@@ -23,8 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cauchy import (CauchySystem, _inverse_from_products, _separations, csum,
-                     explicit_inverse, lagrange_products)
+from .cauchy import CauchySystem, _separations, csum, explicit_inverse, lagrange_products
 from .errors import CertificationError, GainFloorError
 from .spectrum import DistCertificate, SpectrumModel, dist_alpha
 
@@ -115,8 +116,8 @@ def _check_finite(values: np.ndarray, what: str, lam: float) -> None:
     if bad.size:
         idx = np.unravel_index(int(bad[0]), values.shape)
         where = ", ".join(str(int(i) + 1) for i in idx)
-        raise CertificationError(f"{what}[{where}] = {values[idx]}: the Lagrange products "
-                                 f"overflow float64 at lambda {lam}")
+        raise CertificationError(f"{what}[{where}] = {values[idx]}: float64 overflow "
+                                 f"at lambda {lam}")
 
 
 @dataclass(frozen=True)
@@ -130,7 +131,8 @@ class BacksteppingSynthesis:
     kb: np.ndarray
     T_mat: np.ndarray
     Tinv_mat: np.ndarray
-    cauchy_inv: np.ndarray
+    cauchy: np.ndarray       # C_pn = 1/(lambda_p - lambda_n - lambda), shared by T and T^-1
+    q: np.ndarray            # the Lagrange column products Q_n
     tb_residuals: np.ndarray
     log_f: np.ndarray        # log|F_n| of the gain products, n <= N
 
@@ -154,57 +156,59 @@ def assemble(model: SpectrumModel, lam: float, N: int,
              cert: DistCertificate | None = None) -> BacksteppingSynthesis:
     """Build the full synthesis and verify its internal identities.
 
-    Gains come from the product route.  Raises CertificationError if a gain
-    or an entry of the Cauchy inverse overflows float64 (checked before T,
-    T^-1 or any sum is formed), or if T . T^-1 drifts from the identity
-    beyond the assembly alarm tolerance, and GainFloorError if a gain
-    vanishes.
+    Gains come from the product route; T and T^-1 come from one Cauchy
+    matrix.  Raises CertificationError if a gain or a column product Q_n
+    overflows float64 (checked before T, T^-1 or any sum is formed), or if
+    T . T^-1 is not finite or drifts from the identity beyond the assembly
+    alarm tolerance, and GainFloorError if a gain vanishes.
     """
     cert = _certify(model, lam, cert)
     sys = CauchySystem.from_model(model, lam, N, cert)
-    sep = _separations(sys)            # guarded once for the matrix and its inverse
-    products = lagrange_products(sys)
+    cmat = 1.0 / _separations(sys)
+    log_p, sgn_p, log_q, sgn_q = lagrange_products(sys)
     b = model.b[:N]
     with np.errstate(over="ignore", invalid="ignore"):    # reported just below
-        cinv = _inverse_from_products(sys, products, sep)
-        k = _product_kb(lam, products[0], products[1]) / b
+        k = _product_kb(lam, log_p, sgn_p) / b
+        q = sgn_q * np.exp(log_q)
     _check_finite(k, "gain k", lam)
-    _check_finite(cinv, "Cauchy inverse", lam)
+    _check_finite(q, "Lagrange product Q", lam)
     kb = k * b
     _check_nonzero(kb, "product")
 
-    cmat = 1.0 / sep
     T = b[:, None] * cmat * k[None, :]
-    Tinv = (1.0 / k)[:, None] * cinv * (1.0 / b)[None, :]
+    # a reciprocal product, not a division: see cauchy.lagrange_products
+    Tinv = (-lam * b)[:, None] * cmat.T * (q * (1.0 / b))[None, :]
     synth = BacksteppingSynthesis(model=model, lam=float(lam), N=N, cert=cert,
-                                  b=b, k=k, kb=kb, T_mat=T, Tinv_mat=Tinv,
-                                  cauchy_inv=cinv, tb_residuals=_tb_residuals(cmat, kb),
-                                  log_f=products[0])
+                                  b=b, k=k, kb=kb, T_mat=T, Tinv_mat=Tinv, cauchy=cmat,
+                                  q=q, tb_residuals=_tb_residuals(cmat, kb), log_f=log_p)
     resid = inverse_residual(synth)
+    if not math.isfinite(resid):
+        raise CertificationError(f"T . T^-1 residual {resid}: float64 overflow at lambda {lam}")
     if resid > _ASSEMBLY_TOL:
         raise CertificationError(f"T . T^-1 residual {resid} exceeds assembly tolerance")
     return synth
 
 
 def inverse_residual(synth: BacksteppingSynthesis) -> float:
-    """max-norm of T . T^-1 - I at truncation."""
+    """max-norm of T . T^-1 - I at truncation; inf or NaN if the product overflows."""
     eye = np.eye(synth.N)
-    return float(np.max(np.abs(synth.T_mat @ synth.Tinv_mat - eye)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.max(np.abs(synth.T_mat @ synth.Tinv_mat - eye)))
 
 
-def gain_cross_check(synth: BacksteppingSynthesis) -> tuple[float, float]:
-    """(gap, bar): the largest |k rowsum - k product| over the modes, and the
-    largest sum of the two routes' roundoff bars.
+def gain_cross_check(synth: BacksteppingSynthesis) -> float:
+    """Worst ratio max_n gap_n / bar_n of the row-sum and product gains.
 
-    The row-sum route sums each row of the explicit inverse exactly, so its
-    bar carries the row's absolute mass; the product gains carry a plain
-    relative bar.  gap <= bar is the cross-check.  Raises GainFloorError if
-    a row sum vanishes.
+    The row-sum route k_n b_n = lambda^2 P_n S_n, S_n = csum_j(C_jn Q_j), is
+    the product route -lambda P_n times -lambda S_n, so gap_n = |k_n| |lambda
+    S_n + 1|: the partial-fraction identity, row by row.  bar_n adds the
+    product bar _term_relerr(N) |k_n| and the row-sum bar, the same constant
+    times the row mass lambda |k_n| sum_j |C_jn Q_j|; |k_n| cancels.
     """
-    rowsum = _rowsum_gains(synth.b, synth.cauchy_inv)
-    gap = np.abs(rowsum.values - synth.k)
-    bar = rowsum.roundoff + _term_relerr(synth.N) * np.abs(synth.k)
-    return float(np.max(gap)), float(np.max(bar))
+    terms = synth.cauchy.T * synth.q[None, :]
+    gap = np.abs(synth.lam * csum(terms) + 1.0)
+    bar = _term_relerr(synth.N) * (1.0 + synth.lam * np.sum(np.abs(terms), axis=1))
+    return float(np.max(gap / bar))
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,8 @@ def heat(n_max=64):
 
 def test_build_examples():
     sys2 = CauchySystem.from_model(heat(), 0.5, 2)
-    assert np.allclose(sys2.x, [-1.0, -4.0]) and np.allclose(sys2.y, [-0.5, -3.5])
+    assert np.array_equal(sys2.x, [-1.0, -4.0]) and np.array_equal(sys2.dx, [[0.0, 3.0], [-3.0, 0.0]])
+    assert not sys2.dx.flags.writeable and sys2.dx is sys2.dx     # formed once, shared
     C = build_cauchy(sys2)
     assert np.allclose(C, [[-2.0, 0.4], [-1 / 3.5, -2.0]])
     assert np.allclose(build_cauchy(CauchySystem.from_model(heat(), 0.5, 1)), [[-2.0]])
@@ -82,8 +83,7 @@ def test_resonance_guards():
         explicit_inverse(CauchySystem.from_model(m, 3.0, 4))
     # stale certificate: claim a larger separation than the nodes deliver
     fake = dist_alpha(m, 0.5)
-    sysm = CauchySystem(x=m.eigenvalues[:4], y=m.eigenvalues[:4] + 2.9, lam=2.9,
-                        min_sep=fake.dist)
+    sysm = CauchySystem(x=m.eigenvalues[:4], lam=2.9, min_sep=fake.dist)
     with pytest.raises(ResonanceError, match="stale"):
         build_cauchy(sysm)
 
@@ -322,8 +322,7 @@ def _node_models():
 
 
 def _complex_nodes(sysm):
-    x = sysm.x.astype(complex)
-    return CauchySystem(x=x, y=x + sysm.lam, lam=sysm.lam, min_sep=sysm.min_sep)
+    return CauchySystem(x=sysm.x.astype(complex), lam=sysm.lam, min_sep=sysm.min_sep)
 
 
 @pytest.mark.parametrize("model", _node_models(),
@@ -333,7 +332,7 @@ def test_real_nodes_round_like_complex_nodes(model):
     for lam in (0.7, 13.3, 57.1, 99.7):
         real = CauchySystem.from_model(model, lam, 64)
         cplx = _complex_nodes(real)
-        assert np.array_equal(real.x, cplx.x.real) and np.array_equal(real.y, cplx.y.real)
+        assert np.array_equal(real.x, cplx.x.real) and np.array_equal(real.dx, cplx.dx.real)
         assert np.array_equal(build_cauchy(real), build_cauchy(cplx))
         for a, b in zip(lagrange_products(real), lagrange_products(cplx)):
             assert np.array_equal(a, b.real) and not np.any(np.imag(b))
@@ -343,7 +342,7 @@ def test_real_nodes_round_like_complex_nodes(model):
 def test_self_adjoint_kernel_is_real():
     for model in _node_models():
         sysm = CauchySystem.from_model(model, 3.3, 48)
-        assert sysm.x.dtype == np.float64 and sysm.y.dtype == np.float64
+        assert sysm.x.dtype == np.float64 and sysm.dx.dtype == np.float64
         assert all(p.dtype == np.float64 for p in lagrange_products(sysm))
         assert build_cauchy(sysm).dtype == explicit_inverse(sysm).dtype == np.float64
     sk = CauchySystem.from_model(make_spectrum(Kind.SKEW_ADJOINT, 2.0, 1.0, 8), 1.5, 8)

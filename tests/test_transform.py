@@ -111,10 +111,24 @@ def test_assemble_overflow_guard():
     m = heat(300)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(CertificationError, match=r"Cauchy inverse\[1, 1\] = inf"):
+        with pytest.raises(CertificationError, match=r"T \. T\^-1 residual inf: float64 overflow"):
             assemble(m, 50000.5, 150)
         with pytest.raises(CertificationError, match=r"gain k\[1\] = -inf"):
             assemble(m, 300000.5, 300)
+
+
+def test_assemble_column_product_overflow_guard():
+    # heat's level gaps mirrored, so the column products Q outgrow the gains:
+    # Q overflows while every k is finite, and the guard names the entry
+    N, lam = 300, 150000.5
+    levels = np.cumsum(2.0 * np.arange(N, 0, -1) + 1.0)
+    m = make_tabulated(Kind.SELF_ADJOINT, 2.0, -levels)
+    dist = float(np.min(np.abs(levels[None, :] - levels[:, None] - lam)))
+    cert = DistCertificate(lam=lam, dist=dist, witness_pair=None)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(CertificationError, match=r"Lagrange product Q\[173\] = -inf"):
+            assemble(m, lam, N, cert)
 
 
 def test_chi_examples():
@@ -229,13 +243,22 @@ def test_synthesis_json_schema():
 
 
 def test_assemble_inverse_matches_explicit_inverse():
+    # T^-1 is T's own Cauchy matrix, transposed: -lambda diag(b) C^T diag(Q/b),
+    # which is diag(1/k) E diag(1/b) for the explicit inverse E of C
     sk = make_spectrum(Kind.SKEW_ADJOINT, 2.0, 1.0, 64)
-    for model, lam in ((heat(), 4.0714285714285716), (sk, 9.5)):
+    two = make_spectrum(Kind.SELF_ADJOINT, 2.0, 1.0, 64, b_law=lambda n: 2.0)
+    for model, lam in ((heat(), 4.0714285714285716), (sk, 9.5), (two, 4.0714285714285716)):
         synth = assemble(model, lam, 48)
-        E = explicit_inverse(CauchySystem.from_model(model, lam, 48, synth.cert))
-        assert synth.cauchy_inv.dtype == E.dtype
-        assert np.array_equal(synth.cauchy_inv, E)
-
+        sysm = CauchySystem.from_model(model, lam, 48, synth.cert)
+        C = build_cauchy(sysm)
+        assert synth.cauchy.dtype == synth.Tinv_mat.dtype == C.dtype
+        assert np.array_equal(synth.cauchy, C)
+        assert np.array_equal(synth.T_mat, synth.b[:, None] * C * synth.k[None, :])
+        b = synth.b
+        assert np.array_equal(synth.Tinv_mat, (-lam * b)[:, None] * C.T * (synth.q * (1.0 / b))[None, :])
+        E = explicit_inverse(sysm)
+        ref = (1.0 / synth.k)[:, None] * E * (1.0 / b)[None, :]
+        assert np.max(np.abs(synth.Tinv_mat - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def test_real_synthesis_matches_complex_nodes(monkeypatch):
@@ -249,8 +272,7 @@ def test_real_synthesis_matches_complex_nodes(monkeypatch):
 
     def complex_from_model(cls, model, lam, N, cert=None):
         s = real_from_model(cls, model, lam, N, cert)
-        x = s.x.astype(complex)
-        return cls(x=x, y=x + s.lam, lam=s.lam, min_sep=s.min_sep)
+        return cls(x=s.x.astype(complex), lam=s.lam, min_sep=s.min_sep)
 
     compared = 0
     for model in models:
@@ -265,11 +287,11 @@ def test_real_synthesis_matches_complex_nodes(monkeypatch):
             except CertificationError:
                 continue            # T . T^-1 alarm: past the certified frontier
             assert all(getattr(real, f).dtype == np.float64
-                       for f in ("k", "cauchy_inv", "T_mat", "Tinv_mat"))
+                       for f in ("k", "q", "cauchy", "T_mat", "Tinv_mat"))
             with monkeypatch.context() as mp:
                 mp.setattr(CauchySystem, "from_model", classmethod(complex_from_model))
                 cplx = assemble(model, lam, 64, cert)
-            for f in ("k", "T_mat", "Tinv_mat", "tb_residuals"):
+            for f in ("k", "q", "cauchy", "T_mat", "Tinv_mat", "tb_residuals"):
                 assert np.array_equal(getattr(real, f), getattr(cplx, f)), (model.alpha, lam, f)
             compared += 1
     assert compared >= 10         # 11 of the 16 (model, lambda) pairs assemble
@@ -290,13 +312,14 @@ def test_row_sums_match_per_row_loop(kind):
     # one csum per matrix must give the bits of one csum per row, including
     # the complex modulus of the TB residuals (numpy's complex abs differs)
     from backstep.cauchy import csum
-    from backstep.transform import _rowsum_gains
+    from backstep.transform import _term_relerr, gain_cross_check
     m = make_spectrum(kind, 2.0, 1.0, 64)
     for base, N in ((2, 32), (5, 64)):
         mu, cert = select_mu(m, base)
         s = assemble(m, mu, N, cert)
-        cmat = build_cauchy(CauchySystem.from_model(m, mu, N, cert))
-        loop = np.array([abs(csum(row) - 1.0) for row in cmat * s.kb[None, :]])
+        loop = np.array([abs(csum(row) - 1.0) for row in s.cauchy * s.kb[None, :]])
         assert s.tb_residuals.tobytes() == loop.tobytes()
-        kb = np.array([csum(row) for row in s.cauchy_inv], dtype=s.cauchy_inv.dtype)
-        assert _rowsum_gains(s.b, s.cauchy_inv).values.tobytes() == (kb / m.b[:N]).tobytes()
+        cols = s.cauchy.T * s.q[None, :]
+        sums = np.array([csum(row) for row in cols], dtype=cols.dtype)
+        bars = _term_relerr(N) * (1.0 + mu * np.sum(np.abs(cols), axis=1))
+        assert gain_cross_check(s) == float(np.max(np.abs(mu * sums + 1.0) / bars))
