@@ -25,10 +25,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import CertificationError, ResonanceError
-from .spectrum import Kind, SpectrumModel
-
-_IMAG_TOL = 1e-13  # self-adjoint outputs must be real to this tolerance
+from .errors import ResonanceError
+from .spectrum import SpectrumModel
 
 
 def csum(values: Sequence[complex] | np.ndarray) -> complex | np.ndarray:
@@ -108,8 +106,9 @@ def _row_sums(mat: np.ndarray) -> np.ndarray:
 class CauchySystem:
     """Nodes x_i = lambda_i, i <= N, and the damping lambda of one truncation.
 
-    Self-adjoint nodes are real (float64), so the whole synthesis runs in real
-    arithmetic; skew-adjoint nodes are purely imaginary.  `min_sep`, when set
+    The nodes are the model's eigenvalues with their dtype: float64 on a
+    self-adjoint model, so the whole synthesis runs in real arithmetic, and
+    purely imaginary complex128 on a skew-adjoint one.  `min_sep`, when set
     from a distance certificate, guards every divided difference: a node pair
     closer than the certified distance means the certificate is stale.
     """
@@ -133,8 +132,8 @@ class CauchySystem:
                    cert=None) -> "CauchySystem":
         if N < 1 or N > model.n_max:
             raise ValueError(f"truncation N={N} outside [1, {model.n_max}]")
-        x = -model.levels[:N] if model.kind is Kind.SELF_ADJOINT else model.eigenvalues[:N]
-        return cls(x=x, lam=float(lam), min_sep=None if cert is None else cert.dist)
+        return cls(x=model.eigenvalues[:N], lam=float(lam),
+                   min_sep=None if cert is None else cert.dist)
 
 
 def _separations(sys: CauchySystem) -> np.ndarray:
@@ -155,7 +154,7 @@ def _separations(sys: CauchySystem) -> np.ndarray:
 
 def build_cauchy(sys: CauchySystem) -> np.ndarray:
     """N x N matrix C with entries 1/(x_i - x_j - lambda) = 1/(lambda_i - lambda_j - lambda)."""
-    return _realized(sys, 1.0 / _separations(sys))
+    return 1.0 / _separations(sys)
 
 
 def lagrange_products(sys: CauchySystem) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -193,17 +192,6 @@ def explicit_inverse(sys: CauchySystem) -> np.ndarray:
     log_p, sgn_p, log_q, sgn_q = lagrange_products(sys)
     p = sys.lam ** 2 * (sgn_p * np.exp(log_p))
     return p[:, None] * build_cauchy(sys).T * (sgn_q * np.exp(log_q))[None, :]
-
-
-def _realized(sys: CauchySystem, mat: np.ndarray) -> np.ndarray:
-    """Drop exact-zero imaginary parts of a complex matrix on real nodes."""
-    if np.isrealobj(mat) or np.any(sys.x.imag != 0.0):
-        return mat
-    scale = float(np.max(np.abs(mat))) or 1.0
-    worst = float(np.max(np.abs(mat.imag)))
-    if worst > _IMAG_TOL * scale:
-        raise CertificationError(f"imaginary residue {worst} on real path (scale {scale})")
-    return mat.real.copy()
 
 
 def tail_log_bound(model: SpectrumModel, i: int, lam: float, N: int) -> float:

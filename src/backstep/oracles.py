@@ -240,9 +240,11 @@ def lower_bound_check_F(model: SpectrumModel, mu_sequence, N: int,
 def factorization_residual(synth: BacksteppingSynthesis) -> float:
     """Entrywise defect of T against k_n b_p / (lambda_p - lambda_n - lambda).
     Error: at most about 2u (4 + (max|lambda_p - lambda_n| + lambda) / Dist).
+    The table multiplies by the reciprocal, as complex division by a divisor
+    with zero imaginary part does, so real and complex nodes round alike.
     """
     lam_p = synth.eigenvalues[:, None]
     lam_n = synth.eigenvalues[None, :]
-    table = synth.k[None, :] * synth.b[:, None] / (lam_p - lam_n - synth.lam)
+    table = synth.k[None, :] * synth.b[:, None] * (1.0 / (lam_p - lam_n - synth.lam))
     scale = float(np.max(np.abs(table))) or 1.0
     return float(np.max(np.abs(synth.T_mat - table))) / scale

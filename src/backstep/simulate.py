@@ -43,9 +43,9 @@ def norm_h(sv: StateVector) -> float:
 
 
 def norm_weighted(sv: StateVector, model: SpectrumModel) -> float:
-    """sqrt(sum |lambda_n|^(2s) |c_n|^2); equals the H norm at s = 0."""
-    n = sv.coeffs.size
-    w = np.abs(model.eigenvalues[:n]) ** sv.s_weight
+    """sqrt(sum |lambda_n|^(2s) |c_n|^2); equals the H norm at s = 0.  |lambda_n|
+    is the level ell_n."""
+    w = model.levels[:sv.coeffs.size] ** sv.s_weight
     return float(np.linalg.norm(w * sv.coeffs))
 
 
@@ -61,8 +61,6 @@ def propagate(synth: BacksteppingSynthesis, sv: StateVector, t: float) -> StateV
         raise ValueError(f"state length {sv.coeffs.size} mismatches truncation {synth.N}")
     w = synth.T_mat @ sv.coeffs
     out = synth.Tinv_mat @ (_mode_factors(synth, t) * w)
-    if np.isrealobj(synth.T_mat) and np.isrealobj(sv.coeffs):
-        out = out.real if np.iscomplexobj(out) else out
     return StateVector(coeffs=out, s_weight=sv.s_weight)
 
 

@@ -47,8 +47,9 @@ class SpectrumModel:
 
     @property
     def eigenvalues(self) -> np.ndarray:
+        """lambda_n, n <= n_max: float64 if self-adjoint, complex128 if skew-adjoint."""
         if self.kind is Kind.SELF_ADJOINT:
-            return (-self.levels).astype(complex)
+            return -self.levels
         return -1j * self.levels
 
     def level(self, n: int) -> float:
@@ -61,9 +62,9 @@ class SpectrumModel:
             raise ValueError(f"tabulated spectrum has no level {n} (n_max={self.n_max})")
         return self.scale * float(n) ** self.alpha
 
-    def eigenvalue(self, n: int) -> complex:
+    def eigenvalue(self, n: int) -> float | complex:
         ell = self.level(n)
-        return complex(-ell) if self.kind is Kind.SELF_ADJOINT else -1j * ell
+        return -ell if self.kind is Kind.SELF_ADJOINT else -1j * ell
 
 
 def make_spectrum(kind: Kind | str,

@@ -90,10 +90,7 @@ def feedback_gains_product(model: SpectrumModel, lam: float, N: int,
 
 def _product_kb(lam: float, log_f: np.ndarray, sgn_f: np.ndarray) -> np.ndarray:
     """k_n b_n = -lambda F_n from the log-signed gain products F_n, n <= N."""
-    kb = -lam * sgn_f * np.exp(log_f)
-    if np.iscomplexobj(kb) and np.all(kb.imag == 0.0):
-        kb = kb.real.copy()
-    return kb
+    return -lam * sgn_f * np.exp(log_f)
 
 
 def _certify(model, lam, cert):
@@ -223,18 +220,14 @@ def chi(model: SpectrumModel, lam: float, n: int, N: int,
     cert = _certify(model, lam, cert)
     if not 1 <= n <= N:
         raise ValueError("mode index out of range")
-    lam_p = model.eigenvalues[:N]
-    denom = lam_p - model.eigenvalue(n) + lam
-    coeffs = model.b[:N] / denom
-    if np.all(coeffs.imag == 0.0):
-        coeffs = coeffs.real.copy()
-    return ChiFunction(n=n, coeffs=coeffs)
+    denom = model.eigenvalues[:N] - model.eigenvalue(n) + lam
+    return ChiFunction(n=n, coeffs=model.b[:N] / denom)
 
 
 @dataclass(frozen=True)
 class ClosedLoopCheck:
     n: int
-    k_on_chi: complex
+    k_on_chi: float | complex
     collinearity_defect: float
     eigen_defect: float
 
@@ -262,7 +255,7 @@ def verify_closed_loop_eigen(synth: BacksteppingSynthesis, n: int) -> ClosedLoop
 def operator_identity_residual(synth: BacksteppingSynthesis) -> float:
     """Relative max-norm defect of T (A + BK) = (A - lambda I) T at truncation."""
     A = np.diag(synth.eigenvalues)
-    lhs = synth.T_mat @ (A + np.outer(synth.b.astype(complex), synth.k))
+    lhs = synth.T_mat @ (A + np.outer(synth.b, synth.k))
     rhs = (A - synth.lam * np.eye(synth.N)) @ synth.T_mat
     scale = float(np.max(np.abs(rhs))) or 1.0
     return float(np.max(np.abs(lhs - rhs))) / scale
@@ -342,8 +335,9 @@ def spectral_norm(mat: np.ndarray) -> float:
 
 
 def weighted_norm(synth: BacksteppingSynthesis, mat: np.ndarray, s: float) -> float:
-    """Operator norm in the |lambda_n|^s-weighted coordinates (D(A^s) analogue)."""
-    w = np.abs(synth.eigenvalues) ** s
+    """Operator norm in the |lambda_n|^s-weighted coordinates (D(A^s) analogue);
+    |lambda_n| is the level ell_n."""
+    w = synth.model.levels[:synth.N] ** s
     return spectral_norm(w[:, None] * mat * (1.0 / w)[None, :])
 
 

@@ -191,8 +191,17 @@ def test_propagator_operator_norm_bound(synth32):
     for t in (0.3, 1.0, 2.5):
         P = synth32.Tinv_mat @ (np.exp((synth32.eigenvalues - synth32.lam) * t)[:, None]
                                 * synth32.T_mat)
-        assert spectral_norm(P.real if np.all(P.imag == 0) else P) \
-            <= cond * math.exp(-synth32.lam * t) * (1.0 + 1e-9)
+        assert spectral_norm(P) <= cond * math.exp(-synth32.lam * t) * (1.0 + 1e-9)
+
+
+def test_self_adjoint_propagation_is_real(synth32):
+    from backstep.simulate import _mode_factors
+    assert chi(heat(), 0.5, 3, 32).coeffs.dtype == np.float64
+    assert _mode_factors(synth32, 0.7).dtype == np.float64
+    y = state(np.random.default_rng(3).standard_normal(32))
+    assert propagate(synth32, y, 0.7).coeffs.dtype == np.float64
+    sk = assemble(make_spectrum(Kind.SKEW_ADJOINT, 2.0, 1.0, 64), 1.5, 32)
+    assert propagate(sk, y, 0.7).coeffs.dtype == np.complex128
 
 
 def test_null_control_per_stage_certified_bound():

@@ -46,9 +46,20 @@ def table(seed, size=120):
 
 def test_default_eigenvalues():
     m = heat(4)
-    assert np.array_equal(m.eigenvalues, np.array([-1, -4, -9, -16], dtype=complex))
+    assert m.eigenvalues.dtype == np.float64
+    assert np.array_equal(m.eigenvalues, [-1.0, -4.0, -9.0, -16.0])
+    assert type(m.eigenvalue(2)) is float and m.eigenvalue(5) == -25.0
     sk = make_spectrum("skew_adjoint", 2.0, 1.0, 3)
+    assert sk.eigenvalues.dtype == np.complex128
     assert np.array_equal(sk.eigenvalues, np.array([-1j, -4j, -9j]))
+
+
+@pytest.mark.parametrize("kind", list(Kind))
+def test_eigenvalue_modulus_is_the_level(kind):
+    # the weighted norms read the levels for |lambda_n|: the bits must agree
+    for alpha in (1.5, 2.0, 3.0):
+        m = make_spectrum(kind, alpha, 0.37, 300)
+        assert np.abs(m.eigenvalues).tobytes() == m.levels.tobytes()
 
 
 def test_alpha_guard():

@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from backstep.cauchy import CauchySystem, build_cauchy, explicit_inverse
 from backstep.errors import CertificationError, GainFloorError, ResonanceError
@@ -10,7 +11,7 @@ from backstep.spectrum import (DistCertificate, Kind, dist_alpha, make_spectrum,
                                make_tabulated, select_mu)
 from backstep.transform import (assemble, chi, condition_number,
                                 feedback_gains_product, feedback_gains_rowsum,
-                                inverse_residual,
+                                gain_cross_check, inverse_residual,
                                 operator_identity_residual, spectral_norm,
                                 synthesis_to_json, verify_closed_loop_eigen,
                                 weighted_norm)
@@ -323,3 +324,22 @@ def test_row_sums_match_per_row_loop(kind):
         sums = np.array([csum(row) for row in cols], dtype=cols.dtype)
         bars = _term_relerr(N) * (1.0 + mu * np.sum(np.abs(cols), axis=1))
         assert gain_cross_check(s) == float(np.max(np.abs(mu * sums + 1.0) / bars))
+
+
+_SYNTH_ARRAYS = ("b", "k", "kb", "T_mat", "Tinv_mat", "cauchy", "q", "tb_residuals",
+                 "log_f", "eigenvalues")
+
+
+@settings(max_examples=120, deadline=None)
+@given(kind=st.sampled_from(list(Kind)), alpha=st.sampled_from([1.5, 2.0, 3.0]),
+       beta=st.floats(-1.0, 2.0), base=st.integers(1, 10), N=st.sampled_from([8, 32, 64]))
+def test_unbounded_control_operator(kind, alpha, beta, base, N):
+    # b_n = n^beta: B may be unbounded (beta > 0) or decay (beta < 0)
+    m = make_spectrum(kind, alpha, 1.0, 64, b_law=lambda n: float(n) ** beta)
+    mu, cert = select_mu(m, base)
+    s = assemble(m, mu, N, cert)
+    assert s.tb_residual_max <= 1e-9
+    assert inverse_residual(s) <= 1e-8
+    assert gain_cross_check(s) <= 1.0
+    if kind is Kind.SELF_ADJOINT:
+        assert all(getattr(s, f).dtype == np.float64 for f in _SYNTH_ARRAYS)
