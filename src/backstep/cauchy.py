@@ -170,17 +170,22 @@ def lagrange_products(sys: CauchySystem) -> tuple[np.ndarray, np.ndarray, np.nda
         raise ResonanceError("repeated eigenvalue: Lagrange products need simple nodes")
     # complex division by a zero-imaginary divisor computes a * (1/b), so every
     # division here is that reciprocal product: real and complex nodes round
-    # alike.  The diagonal (m = i) gets q = 0, a neutral factor below.
-    q = sys.lam * np.divide(1.0, dx, out=np.zeros_like(dx), where=off)
-    return _log_signed_rows(1.0 + q) + _log_signed_rows(1.0 - q)
-
-
-def _log_signed_rows(factors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row products of `factors`: (log magnitude, unit sign)."""
-    if np.any(factors == 0.0):
+    # alike.  q = lambda / (x_i - x_j), with q = 0 on the diagonal (m = i), a
+    # neutral factor below.  q is antisymmetric bit for bit (negating x_i - x_j
+    # negates every rounded step), so Q's factors 1 - q are the transpose of
+    # P's factors f = 1 + q, and one factor matrix serves both.
+    f = np.divide(1.0, dx, out=np.zeros_like(dx), where=off)
+    f *= sys.lam
+    f += 1.0
+    if np.any(f == 0.0):
         raise ResonanceError("a Lagrange factor vanished: lambda equals lambda_i - lambda_m exactly")
-    mag = np.abs(factors)
-    return np.sum(np.log(mag), axis=1), np.prod(factors * (1.0 / mag), axis=1)
+    logs = np.abs(f)
+    f *= 1.0 / logs                  # f now holds the unit signs
+    np.log(logs, out=logs)
+    # Q's factors are f's columns: reduce C-contiguous transposed copies along
+    # axis 1, which round as the rows of a 1 - q matrix would
+    return (np.sum(logs, axis=1), np.prod(f, axis=1),
+            np.sum(logs.T.copy(), axis=1), np.prod(f.T.copy(), axis=1))
 
 
 def explicit_inverse(sys: CauchySystem) -> np.ndarray:

@@ -332,3 +332,51 @@ def test_repeated_eigenvalue_guard():
             lagrange_products(sysm)
     for N in (1, 2):       # the guard needs an off-diagonal zero, not the diagonal ones
         lagrange_products(CauchySystem.from_model(heat(), 0.5, N))
+
+
+def _two_pass_lagrange_products(sysm):
+    """Reference: the products from two factor matrices, 1 + q and 1 - q,
+    each reduced along its rows."""
+    dx = sysm.dx
+    q = sysm.lam * np.divide(1.0, dx, out=np.zeros_like(dx), where=dx != 0.0)
+
+    def rows(factors):
+        if np.any(factors == 0.0):
+            raise ResonanceError("a Lagrange factor vanished")
+        mag = np.abs(factors)
+        return np.sum(np.log(mag), axis=1), np.prod(factors * (1.0 / mag), axis=1)
+    return rows(1.0 + q) + rows(1.0 - q)
+
+
+def _product_models():
+    rng = np.random.default_rng(11)
+    levels = np.cumsum(rng.uniform(1.0, 9.0, 64)) + 0.25
+    return [make_spectrum(kind, a, 1.0, 64) for kind in (Kind.SELF_ADJOINT, Kind.SKEW_ADJOINT)
+            for a in (1.5, 2.0, 3.0)] + \
+        [make_tabulated(Kind.SELF_ADJOINT, 2.0, -levels),
+         make_tabulated(Kind.SKEW_ADJOINT, 2.0, -1j * levels)]
+
+
+@pytest.mark.parametrize("model", _product_models(),
+                         ids=["self1.5", "self2", "self3", "skew1.5", "skew2", "skew3",
+                              "tabulated-self", "tabulated-skew"])
+def test_lagrange_products_match_two_pass_form(model):
+    # 1 - q is (1 + q) transposed bit for bit, so one factor matrix gives
+    # every product with the bits of the two-pass form
+    for lam in (0.7, 13.3, 57.1, 99.7, 1234.5):
+        for N in (1, 2, 17, 64):
+            sysm = CauchySystem.from_model(model, lam, N)
+            new, ref = lagrange_products(sysm), _two_pass_lagrange_products(sysm)
+            for a, b in zip(new, ref):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (lam, N)
+
+
+def test_vanished_lagrange_factor_guard():
+    # lambda = x_1 - x_2 = 3 on heat levels: 1 + lambda / (x_2 - x_1) = 0 is a
+    # factor of P_2, and 1 - lambda / (x_1 - x_2) = 0 the same factor of Q_1
+    real = CauchySystem.from_model(heat(), 3.0, 4)
+    for sysm in (real, _complex_nodes(real), CauchySystem.from_model(heat(), -3.0, 4)):
+        with pytest.raises(ResonanceError, match="a Lagrange factor vanished"):
+            lagrange_products(sysm)
+        with pytest.raises(ResonanceError, match="a Lagrange factor vanished"):
+            _two_pass_lagrange_products(sysm)

@@ -1,9 +1,13 @@
+import functools
+import math
+import random
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from backstep import transform
 from backstep.cauchy import CauchySystem, build_cauchy, explicit_inverse
 from backstep.errors import CertificationError, GainFloorError, ResonanceError
 from backstep.oracles import factorization_residual
@@ -199,7 +203,7 @@ def test_spectral_norm_against_svd():
 
     The stop rule resolves sigma_1 to 2 eps before rounding; sqrt(theta)
     and the SVD's own sigma_1 each carry a few eps of rounding (at most
-    1.7 eps apart on these matrices, 2.9 eps on the README cost sweep's).
+    3.4 eps apart on these matrices, 4.4 eps on the README cost sweep's).
     """
     for name, a in _norm_cases():
         ref = np.linalg.svd(a, compute_uv=False)[0]
@@ -221,6 +225,95 @@ def test_spectral_norm_rejects_non_finite():
             spectral_norm(a)
         with pytest.raises(CertificationError):
             spectral_norm(a.astype(complex))
+
+
+def _every_step_lanczos(mat):
+    """Reference: the Lanczos norm with the stop rule tested at every step.
+    Returns (sigma_1, steps taken)."""
+    a = np.asarray(mat)
+    scale = math.ldexp(1.0, -math.frexp(float(np.max(np.abs(a))))[1])
+    n = a.shape[1]
+    q = np.empty((n, n), dtype=np.result_type(a.dtype, float))
+    alpha, beta = np.zeros(n), np.zeros(n)
+    rng = random.Random(0)
+    start = np.array([rng.gauss(0.0, 1.0) for _ in range(n)])
+    q[0] = start / np.linalg.norm(start)
+    for k in range(n):
+        basis = q[:k + 1]
+        u = (((a @ q[k]) * scale).conj() @ a).conj() * scale
+        c = (basis @ u.conj()).conj()
+        alpha[k] = c[k].real
+        u -= c @ basis
+        u -= (basis @ u.conj()).conj() @ basis
+        beta[k] = np.linalg.norm(u)
+        theta, s = np.linalg.eigh(np.diag(alpha[:k + 1]) + np.diag(beta[:k], -1))
+        if beta[k] * abs(s[k, -1]) <= 4.0 * np.finfo(float).eps * theta[-1]:
+            return math.sqrt(theta[-1]) / scale, k + 1
+        if k + 1 < n:
+            q[k + 1] = u / beta[k]
+    raise AssertionError("reference Lanczos did not converge")
+
+
+@functools.lru_cache(maxsize=1)
+def _readme_sweep_matrices():
+    """T and T^-1 at the 25 points of `cost-sweep --n-range 1:25 --trunc 300`."""
+    model = make_spectrum(Kind.SELF_ADJOINT, 2.0, 1.0, 300)
+    mats = []
+    for base in range(1, 26):
+        mu, cert = select_mu(model, base)
+        s = assemble(model, mu, 300, cert)
+        mats += [(f"T at base {base}", s.T_mat), (f"T^-1 at base {base}", s.Tinv_mat)]
+    return tuple(mats)
+
+
+def _eigh_sizes(monkeypatch):
+    """Record the matrix size of every np.linalg.eigh call from here on."""
+    sizes, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda t: sizes.append(t.shape[0]) or eigh(t))
+    return sizes
+
+
+def test_spectral_norm_steps_against_every_step_test(monkeypatch):
+    # the stop test runs on a schedule that only adds steps: at least the
+    # every-step count s, at most 1.25 s + 1, and still inside the SVD oracle
+    cases = list(_norm_cases()) + list(_readme_sweep_matrices())
+    refs = [_every_step_lanczos(a) for _, a in cases]
+    sizes = _eigh_sizes(monkeypatch)
+    for (name, a), (ref_value, ref_steps) in zip(cases, refs):
+        value = spectral_norm(a)
+        steps = sizes[-1]
+        assert ref_steps <= steps <= 1.25 * ref_steps + 1, (name, ref_steps, steps)
+        sigma = np.linalg.svd(a, compute_uv=False)[0]
+        assert abs(value - sigma) <= _NORM_RTOL * sigma, name
+        assert abs(ref_value - sigma) <= _NORM_RTOL * sigma, name
+
+
+def test_spectral_norm_eigh_calls_on_readme_sweep(monkeypatch):
+    # every-step testing made 1,112 tridiagonal eigendecompositions here
+    mats = _readme_sweep_matrices()
+    sizes = _eigh_sizes(monkeypatch)
+    for _, a in mats:
+        spectral_norm(a)
+    assert len(sizes) <= 450
+
+
+def test_lanczos_start_vector_is_cached_and_read_only():
+    for n in (1, 7, 300):
+        v = transform._start_vector(n)
+        assert v is transform._start_vector(n) and not v.flags.writeable
+        with pytest.raises(ValueError):
+            v[0] = 1.0
+        rng = random.Random(0)
+        fresh = np.array([rng.gauss(0.0, 1.0) for _ in range(n)])
+        assert v.tobytes() == (fresh / np.linalg.norm(fresh)).tobytes()
+
+
+def test_inverse_residual_matches_identity_subtraction():
+    sk = make_spectrum(Kind.SKEW_ADJOINT, 2.0, 1.0, 64)
+    for model, lam in ((heat(), 4.0714285714285716), (sk, 9.5), (heat(), 0.5)):
+        synth = assemble(model, lam, 48)
+        ref = float(np.max(np.abs(synth.T_mat @ synth.Tinv_mat - np.eye(48))))
+        assert inverse_residual(synth) == ref
 
 
 def test_weighted_norm_and_condition():
