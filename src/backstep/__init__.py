@@ -20,7 +20,7 @@ from .oracles import (LogSignedProduct, all_J, bound_check_products,
                       lower_bound_check_F, oracle_inverse)
 from .simulate import (NullControlSchedule, StateVector, build_schedule,
                        measure_decay, norm_h, norm_weighted, propagate,
-                       run_null_control, schedule_manifest_json, state,
-                       write_trajectory_csv)
+                       run_null_control, schedule_manifest_json, stage_synthesis,
+                       state, trajectory, write_trajectory_csv)
 
 __version__ = "0.1.0"

@@ -22,9 +22,9 @@ from .cauchy import CauchySystem, build_cauchy, csum, explicit_inverse, format_s
 from .errors import MathGuardError
 from .oracles import oracle_inverse
 from .quantitative import cost_sweep, sweep_to_csv
-from .simulate import (build_schedule, norm_h, norm_weighted, propagate,
-                       run_null_control, schedule_manifest_json, state,
-                       stage_truncation, write_trajectory_csv)
+from .simulate import (build_schedule, run_null_control, s_weights,
+                       schedule_manifest_json, stage_truncation, state,
+                       trajectory, write_trajectory_csv)
 from .spectrum import (Kind, dist_alpha, make_spectrum, model_from_json,
                        select_mu, verify_gaps)
 from .transform import assemble, synthesis_to_json
@@ -281,11 +281,10 @@ def cmd_simulate(cfg) -> int:
     t_steps = int(cfg["t_steps"])
     if t_steps < 0:
         raise ValueError(f"t_steps must be non-negative, got {t_steps}")
-    ts = np.linspace(0.0, float(cfg["t_max"]), t_steps + 1)
-    rows = []
-    for t in ts:
-        yt = propagate(synth, y0, float(t))
-        rows.append((float(t), norm_h(yt), norm_weighted(yt, model), csum(synth.k * yt.coeffs)))
+    ts = [float(t) for t in np.linspace(0.0, float(cfg["t_max"]), t_steps + 1)]
+    weights = s_weights(model, trunc, y0.s_weight)
+    rows = [(t, float(np.linalg.norm(y)), float(np.linalg.norm(weights * y)), csum(synth.k * y))
+            for t, y in zip(ts, trajectory(synth, y0.coeffs, ts))]
     write_trajectory_csv(rows, cfg["out"])
     print(f"trajectory lambda={lam} -> {cfg['out']}")
     return 0

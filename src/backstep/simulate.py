@@ -8,19 +8,28 @@ delta_N = (T/L_sigma) lambda(N)^(-1/sigma), with lambda(N) certified inside
 [N^gamma, N^gamma + C] and L_sigma the partial sum of lambda(p)^(-1/sigma)
 closed with an integral tail bound (so the scheduled horizon ends strictly
 before T, with the gap reported).
+
+A schedule is the plan only: each stage's lambda, certificate, delta and start
+time.  `run_null_control` assembles one stage's synthesis at a time
+(`stage_synthesis`), propagates the state through it and drops it, so a run
+holds one stage's N x N matrices, not every stage's.  A stage's guards (its
+TB = B residual against `_TB_TOL`, and the assembly's own) therefore fire
+during the run, after the earlier stages have been propagated; with a
+divergence alarm set, an earlier stage's alarm can pre-empt a later stage's.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from collections.abc import Iterator
+from dataclasses import dataclass
 
 import numpy as np
 
 from .cauchy import csum, format_scalar
 from .errors import CertificationError, DivergenceError, MathGuardError
-from .spectrum import SpectrumModel, select_mu
+from .spectrum import DistCertificate, SpectrumModel, select_mu
 from .transform import BacksteppingSynthesis, assemble
 from .quantitative import linear_fit
 
@@ -42,25 +51,39 @@ def norm_h(sv: StateVector) -> float:
     return float(np.linalg.norm(sv.coeffs))
 
 
+def s_weights(model: SpectrumModel, n: int, s: float) -> np.ndarray:
+    """|lambda_j|^s for j <= n, the weights of the s-norm; |lambda_j| is the
+    level ell_j."""
+    return model.levels[:n] ** s
+
+
 def norm_weighted(sv: StateVector, model: SpectrumModel) -> float:
-    """sqrt(sum |lambda_n|^(2s) |c_n|^2); equals the H norm at s = 0.  |lambda_n|
-    is the level ell_n."""
-    w = model.levels[:sv.coeffs.size] ** sv.s_weight
-    return float(np.linalg.norm(w * sv.coeffs))
+    """sqrt(sum |lambda_n|^(2s) |c_n|^2); equals the H norm at s = 0."""
+    return float(np.linalg.norm(s_weights(model, sv.coeffs.size, sv.s_weight) * sv.coeffs))
 
 
-def _mode_factors(synth: BacksteppingSynthesis, t: float) -> np.ndarray:
-    return np.exp((synth.eigenvalues - synth.lam) * t)
+def trajectory(synth: BacksteppingSynthesis, y: np.ndarray, ts) -> Iterator[np.ndarray]:
+    """The coefficients of T^-1 diag(e^{(lambda_n - lambda) t}) T y at each time
+    of `ts`, in order.
+
+    The inputs are checked before the first state is formed.  T y and the
+    rates lambda_n - lambda are formed once; each time then costs one
+    exponential and one matrix-vector product.  One matrix product over all
+    times would round differently from these products, so there is none.
+    """
+    ts = [float(t) for t in ts]
+    if any(t < 0 for t in ts):
+        raise ValueError("time must be nonnegative")
+    if y.size != synth.N:
+        raise ValueError(f"state length {y.size} mismatches truncation {synth.N}")
+    w = synth.T_mat @ y
+    rate = synth.eigenvalues - synth.lam
+    return (synth.Tinv_mat @ (np.exp(rate * t) * w) for t in ts)
 
 
 def propagate(synth: BacksteppingSynthesis, sv: StateVector, t: float) -> StateVector:
     """Exact closed-loop propagation T^-1 diag(e^{(lambda_n - lambda) t}) T y."""
-    if t < 0:
-        raise ValueError("time must be nonnegative")
-    if sv.coeffs.size != synth.N:
-        raise ValueError(f"state length {sv.coeffs.size} mismatches truncation {synth.N}")
-    w = synth.T_mat @ sv.coeffs
-    out = synth.Tinv_mat @ (_mode_factors(synth, t) * w)
+    (out,) = trajectory(synth, sv.coeffs, [t])
     return StateVector(coeffs=out, s_weight=sv.s_weight)
 
 
@@ -83,11 +106,7 @@ def measure_decay(synth: BacksteppingSynthesis, sv: StateVector, t_grid) -> Deca
     n0 = norm_h(sv)
     if n0 == 0.0:
         return DecayReport(C_hat=0.0, rate_hat=None)
-    w = synth.T_mat @ sv.coeffs
-    norms = []
-    for t in ts:
-        y = synth.Tinv_mat @ (_mode_factors(synth, t) * w)
-        norms.append(float(np.linalg.norm(y)))
+    norms = [float(np.linalg.norm(y)) for y in trajectory(synth, sv.coeffs, ts)]
     C_hat = max(math.exp(synth.lam * t) * n / n0 for t, n in zip(ts, norms))
     fit = linear_fit(ts, [math.log(n) for n in norms]) if all(n > 0 for n in norms) else None
     return DecayReport(C_hat=C_hat, rate_hat=None if fit is None else fit[0])
@@ -102,11 +121,10 @@ class Stage:
     index: int
     base: int               # integer ceil(index^gamma) fed to the mu selection
     lam: float
-    dist: float
+    cert: DistCertificate   # what `stage_synthesis` assembles with
     delta: float
     t_start: float
     t_end: float
-    synthesis: BacksteppingSynthesis = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -165,20 +183,29 @@ def build_schedule(model: SpectrumModel, horizon: float, gamma: float, sigma: fl
     t = 0.0
     for k, base, lam, cert in picks:
         delta = (horizon / L_sigma) * lam ** (-1.0 / sigma)
-        try:
-            synth = assemble(model, lam, trunc_all, cert)
-        except MathGuardError as exc:
-            raise type(exc)(f"stage {k} (lambda {lam}): {exc}") from exc
-        if synth.tb_residual_max > _TB_TOL:
-            raise CertificationError(
-                f"stage {k} (lambda {lam}): TB=B residual {synth.tb_residual_max} "
-                f"exceeds the acceptance bound {_TB_TOL}")
-        stages.append(Stage(index=k, base=base, lam=lam, dist=cert.dist, delta=delta,
-                            t_start=t, t_end=t + delta, synthesis=synth))
+        stages.append(Stage(index=k, base=base, lam=lam, cert=cert, delta=delta,
+                            t_start=t, t_end=t + delta))
         t += delta
     return NullControlSchedule(model=model, horizon=horizon, gamma=gamma, sigma=sigma,
                                trunc=trunc_all, stages=tuple(stages), L_sigma=L_sigma,
                                tail_gap=horizon - t)
+
+
+def stage_synthesis(schedule: NullControlSchedule, st: Stage) -> BacksteppingSynthesis:
+    """Assemble one stage's feedback at the schedule's truncation.
+
+    A stage whose assembly fails a guard, or whose TB = B residual exceeds
+    `_TB_TOL`, raises a math guard that names the stage and its lambda.
+    """
+    try:
+        synth = assemble(schedule.model, st.lam, schedule.trunc, st.cert)
+    except MathGuardError as exc:
+        raise type(exc)(f"stage {st.index} (lambda {st.lam}): {exc}") from exc
+    if synth.tb_residual_max > _TB_TOL:
+        raise CertificationError(
+            f"stage {st.index} (lambda {st.lam}): TB=B residual {synth.tb_residual_max} "
+            f"exceeds the acceptance bound {_TB_TOL}")
+    return synth
 
 
 @dataclass(frozen=True)
@@ -207,30 +234,35 @@ def run_null_control(schedule: NullControlSchedule, sv: StateVector,
                      growth_C_hat: float = 10.0) -> NullControlReport:
     """Drive the state through every stage, recording norms and control size.
 
-    With `growth_c_hat` set, a stage whose norm growth exceeds
+    Each stage's synthesis is assembled when the state reaches it and dropped
+    after it, so a stage's guard (see `stage_synthesis`) fires here.  With
+    `growth_c_hat` set, a stage whose norm growth exceeds
     growth_C_hat * exp(growth_c_hat * lambda^(1/alpha)) raises the divergence
     alarm: the certified transient factor cannot explain such growth.
     """
     if sv.coeffs.size != schedule.trunc:
         raise ValueError(f"state length {sv.coeffs.size} mismatches schedule truncation {schedule.trunc}")
     alpha = schedule.model.alpha
-    y = sv
-    n_in0 = norm_h(sv)
+    weights = s_weights(schedule.model, schedule.trunc, sv.s_weight)
+
+    def norm_s(c: np.ndarray) -> float:
+        return float(np.linalg.norm(weights * c))
+
+    y = sv.coeffs
     records = []
     samples = []
     for st in schedule.stages:
-        synth = st.synthesis
-        n_in = norm_h(y)
+        synth = stage_synthesis(schedule, st)
+        n_in = float(np.linalg.norm(y))
         max_u = 0.0
-        for q in range(samples_per_stage):
-            tau = st.delta * q / samples_per_stage
-            yt = propagate(synth, y, tau)
-            u = csum(synth.k * yt.coeffs)
+        taus = [st.delta * q / samples_per_stage for q in range(samples_per_stage)]
+        states = trajectory(synth, y, taus + [st.delta])
+        for tau, y_t in zip(taus, states):
+            u = csum(synth.k * y_t)
             max_u = max(max_u, abs(u))
-            samples.append((st.t_start + tau, norm_h(yt),
-                            norm_weighted(yt, schedule.model), complex(u)))
-        y = propagate(synth, y, st.delta)
-        n_out = norm_h(y)
+            samples.append((st.t_start + tau, float(np.linalg.norm(y_t)), norm_s(y_t), complex(u)))
+        y = next(states)
+        n_out = float(np.linalg.norm(y))
         if growth_c_hat is not None and n_in > 0.0:
             limit = growth_C_hat * math.exp(growth_c_hat * st.lam ** (1.0 / alpha))
             if n_out > limit * n_in:
@@ -239,15 +271,17 @@ def run_null_control(schedule: NullControlSchedule, sv: StateVector,
                     f"factor {limit}")
         contraction = math.log(n_out / n_in) if n_in > 0 and n_out > 0 else float("-inf")
         records.append(StageRecord(index=st.index, lam=st.lam, delta=st.delta,
-                                   norm_in=n_in, norm_out=n_out,
-                                   norm_out_weighted=norm_weighted(y, schedule.model),
+                                   norm_in=n_in, norm_out=n_out, norm_out_weighted=norm_s(y),
                                    contraction_log=contraction, max_u=max_u))
-    samples.append((schedule.t_end, norm_h(y), norm_weighted(y, schedule.model), 0.0 + 0.0j))
-    n_w0 = norm_weighted(sv, schedule.model)
+        # release this stage's matrices before the next stage is assembled
+        del synth, states
+    n_end, ns_end = float(np.linalg.norm(y)), norm_s(y)
+    samples.append((schedule.t_end, n_end, ns_end, 0.0 + 0.0j))
+    n_in0, n_w0 = norm_h(sv), norm_s(sv.coeffs)
     return NullControlReport(
         records=tuple(records),
-        final_ratio=norm_h(y) / n_in0 if n_in0 > 0 else 0.0,
-        final_ratio_weighted=(norm_weighted(y, schedule.model) / n_w0) if n_w0 > 0 else 0.0,
+        final_ratio=n_end / n_in0 if n_in0 > 0 else 0.0,
+        final_ratio_weighted=(ns_end / n_w0) if n_w0 > 0 else 0.0,
         samples=tuple(samples))
 
 

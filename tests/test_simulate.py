@@ -1,15 +1,17 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from backstep.cauchy import csum
+from backstep.cli import main as cli_main
 from backstep.errors import CertificationError, DivergenceError
 from backstep.simulate import (build_schedule, measure_decay, norm_h,
                                norm_weighted, propagate, run_null_control,
-                               schedule_manifest_json, state, stage_truncation,
-                               write_trajectory_csv)
+                               schedule_manifest_json, stage_synthesis, state,
+                               stage_truncation, trajectory, write_trajectory_csv)
 from backstep.spectrum import Kind, make_spectrum
 from backstep.transform import assemble, chi, condition_number
 
@@ -161,10 +163,11 @@ def test_null_control_divergence_alarm():
 def test_schedule_rejects_stage_past_tb_bound():
     # 10 stages peak at TB=B 1.6e-10; stage 11 of 12 reaches 1.5e-9 > 1e-9
     m = heat(200, scale=32.0)
-    assert max(st.synthesis.tb_residual_max
-               for st in build_schedule(m, 1.0, 3.0, 2.5, 10, trunc=48).stages) <= 1e-9
+    sch = build_schedule(m, 1.0, 3.0, 2.5, 10, trunc=48)
+    assert max(stage_synthesis(sch, st).tb_residual_max for st in sch.stages) <= 1e-9
+    sch = build_schedule(m, 1.0, 3.0, 2.5, 12, trunc=48)
     with pytest.raises(CertificationError, match=r"stage 11 \(lambda 1343\.7.*TB=B residual 1\.5"):
-        build_schedule(m, 1.0, 3.0, 2.5, 12, trunc=48)
+        run_null_control(sch, state(np.eye(sch.trunc)[0]))
 
 
 def test_trajectory_csv_and_manifest(tmp_path):
@@ -195,9 +198,8 @@ def test_propagator_operator_norm_bound(synth32):
 
 
 def test_self_adjoint_propagation_is_real(synth32):
-    from backstep.simulate import _mode_factors
     assert chi(heat(), 0.5, 3, 32).coeffs.dtype == np.float64
-    assert _mode_factors(synth32, 0.7).dtype == np.float64
+    assert (synth32.eigenvalues - synth32.lam).dtype == np.float64
     y = state(np.random.default_rng(3).standard_normal(32))
     assert propagate(synth32, y, 0.7).coeffs.dtype == np.float64
     sk = assemble(make_spectrum(Kind.SKEW_ADJOINT, 2.0, 1.0, 64), 1.5, 32)
@@ -212,5 +214,91 @@ def test_null_control_per_stage_certified_bound():
     y0[:2] = 1.0
     rep = run_null_control(sch, state(y0 / np.linalg.norm(y0)))
     for st, rec in zip(sch.stages, rep.records):
-        limit = condition_number(st.synthesis) * math.exp(-st.lam * st.delta)
+        limit = condition_number(stage_synthesis(sch, st)) * math.exp(-st.lam * st.delta)
         assert rec.norm_out <= limit * rec.norm_in * (1.0 + 1e-9)
+
+
+def _per_time_state(synth, y, t):
+    """T^-1 (e^{(lambda_n - lambda) t} T y), one matrix-vector product per time."""
+    return synth.Tinv_mat @ (np.exp((synth.eigenvalues - synth.lam) * t) * (synth.T_mat @ y))
+
+
+def _reference_samples(sch, y, s, per=16):
+    # the stage loop with every state formed from scratch by the per-time formula
+    ws = sch.model.levels[:sch.trunc] ** s
+    rows = []
+    for st in sch.stages:
+        synth = stage_synthesis(sch, st)
+        for q in range(per):
+            tau = st.delta * q / per
+            y_t = _per_time_state(synth, y, tau)
+            rows.append((st.t_start + tau, float(np.linalg.norm(y_t)),
+                         float(np.linalg.norm(ws * y_t)), complex(csum(synth.k * y_t))))
+        y = _per_time_state(synth, y, st.delta)
+    rows.append((sch.t_end, float(np.linalg.norm(y)), float(np.linalg.norm(ws * y)), 0j))
+    return rows
+
+
+@pytest.mark.parametrize("kind", list(Kind))
+@pytest.mark.parametrize("s", [0.0, 0.25])
+def test_trajectory_bits_match_per_time_formula(kind, s, tmp_path):
+    # forming T y once must not change a bit: every state, norm and control
+    # equals the one-time formula's, in the schedule and in `simulate`
+    lam = 0.5 if kind is Kind.SELF_ADJOINT else 1.5
+    synth = assemble(make_spectrum(kind, 2.0, 1.0, 64), lam, 48)
+    y = np.random.default_rng(5).standard_normal(48)
+    ts = [0.0, 0.01, 0.3, 0.3, 1.7, 6.0]
+    for t, got in zip(ts, trajectory(synth, y, ts)):
+        assert got.tobytes() == _per_time_state(synth, y, t).tobytes()
+    assert propagate(synth, state(y), 1.7).coeffs.tobytes() == _per_time_state(synth, y, 1.7).tobytes()
+
+    sch = build_schedule(make_spectrum(kind, 2.0, 32.0, 128), 1.0, 3.0, 2.5, 4, trunc=48)
+    y0 = np.random.default_rng(6).standard_normal(sch.trunc)
+    rep = run_null_control(sch, state(y0 / np.linalg.norm(y0), s=s))
+    assert list(rep.samples) == _reference_samples(sch, y0 / np.linalg.norm(y0), s)
+
+    out = tmp_path / "traj.csv"
+    assert cli_main(["simulate", "--kind", kind.value, "--lambda", str(lam), "--trunc", "32",
+                     "--y0-modes", "1,3", "--t-max", "4", "--t-steps", "20",
+                     "--s-weight", str(s), "--out", str(out)]) == 0
+    s32 = assemble(make_spectrum(kind, 2.0, 1.0, 32), lam, 32)
+    e = np.zeros(32)
+    e[[0, 2]] = 1.0
+    e /= np.linalg.norm(e)
+    ws = s32.model.levels[:32] ** s
+    rows = []
+    for t in np.linspace(0.0, 4.0, 21):
+        y_t = _per_time_state(s32, e, float(t))
+        rows.append((float(t), float(np.linalg.norm(y_t)), float(np.linalg.norm(ws * y_t)),
+                     csum(s32.k * y_t)))
+    write_trajectory_csv(rows, tmp_path / "ref.csv")
+    assert out.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_trajectory_checks_inputs_first(synth32):
+    with pytest.raises(ValueError, match="nonnegative"):
+        trajectory(synth32, np.zeros(32), [0.0, 1.0, -0.5])
+    with pytest.raises(ValueError, match="state length 5"):
+        trajectory(synth32, np.zeros(5), [1.0])
+
+
+def _schedule_peak_bytes(model, n_stages):
+    tracemalloc.start()
+    try:
+        sch = build_schedule(model, 1.0, 3.0, 2.5, n_stages, trunc=128)
+        y0 = np.zeros(sch.trunc)
+        y0[:2] = 1.0
+        run_null_control(sch, state(y0 / np.linalg.norm(y0)))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_null_control_holds_one_stage_at_a_time():
+    # both schedules run at 128 modes; a run that kept every stage's T, T^-1
+    # and C would peak at about 2.7x the 3-stage peak with 10 stages
+    model = make_spectrum(Kind.SKEW_ADJOINT, 2.0, 32.0, 128)
+    assert build_schedule(model, 1.0, 3.0, 2.5, 3, trunc=128).trunc == 128
+    assert build_schedule(model, 1.0, 3.0, 2.5, 10, trunc=128).trunc == 128
+    three, ten = _schedule_peak_bytes(model, 3), _schedule_peak_bytes(model, 10)
+    assert ten <= 1.25 * three, (ten, three)
