@@ -13,11 +13,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .cauchy import CauchySystem, csum, lagrange_products
+from .cauchy import CauchySystem, build_cauchy, csum, lagrange_products
 from .errors import SingularMatrixError
 from .quantitative import linear_fit, probe_depth
 from .spectrum import Kind, SpectrumModel, dist_alpha
-from .transform import BacksteppingSynthesis
+from .transform import BacksteppingSynthesis, _term_relerr
 
 
 def oracle_inverse(mat: np.ndarray, pivot_rtol: float = 1e-12) -> np.ndarray:
@@ -248,3 +248,24 @@ def factorization_residual(synth: BacksteppingSynthesis) -> float:
     table = synth.k[None, :] * synth.b[:, None] * (1.0 / (lam_p - lam_n - synth.lam))
     scale = float(np.max(np.abs(table))) or 1.0
     return float(np.max(np.abs(synth.T_mat - table))) / scale
+
+
+def gain_cross_check(model: SpectrumModel, lam: float, N: int, cert=None) -> float:
+    """Worst ratio max_n gap_n / bar_n of the row-sum and product gains.
+
+    The row-sum route k_n b_n = lambda^2 P_n S_n, S_n = csum_j(C_jn Q_j), is
+    the product route -lambda P_n times -lambda S_n, so gap_n = |k_n| |lambda
+    S_n + 1|: the partial-fraction identity, row by row.  bar_n adds the
+    product bar _term_relerr(N) |k_n| and the row-sum bar, the same constant
+    times the row mass lambda |k_n| sum_j |C_jn Q_j|; |k_n| cancels, so the
+    ratio does not depend on b.  C and Q have `assemble`'s bits.  Not a
+    runtime guard: in every `assemble` it raised the `schedule` benchmark's
+    median operation from about 87 to 102 ms (2 shared cores, one BLAS
+    thread), for a worst ratio of 0.0101 on the README and benchmark configs.
+    """
+    sys = CauchySystem.from_model(model, lam, N, cert)
+    log_q, sgn_q = lagrange_products(sys)[2:]
+    terms = build_cauchy(sys).T * (sgn_q * np.exp(log_q))[None, :]
+    gap = np.abs(lam * csum(terms) + 1.0)
+    bar = _term_relerr(N) * (1.0 + lam * np.sum(np.abs(terms), axis=1))
+    return float(np.max(gap / bar))

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import MathGuardError
 from .spectrum import SpectrumModel, select_mu
-from .transform import assemble, gain_cross_check, spectral_norm
+from .transform import assemble, spectral_norm
 
 
 def linear_fit(x, y) -> tuple[float, float, float] | None:
@@ -43,6 +43,7 @@ def probe_depth(lam: float, alpha: float, N: int) -> int:
 
 @dataclass(frozen=True)
 class CostReport:
+    """One sweep point: exactly the columns of the sweep CSV."""
     base: int
     lam: float
     dist: float
@@ -50,10 +51,7 @@ class CostReport:
     norm_Tinv: float
     k_sup: float
     k_inf: float
-    kb_inf: float
     F_inf: float
-    tb_max: float
-    cross_ratio: float        # worst per-row gap/bar of the row-sum vs product gains
     fitted_exponent: float | None = None
 
     @property
@@ -79,17 +77,15 @@ def _sweep_point(model: SpectrumModel, base: int, trunc: int) -> CostReport:
         base=base, lam=mu, dist=cert.dist,
         norm_T=spectral_norm(synth.T_mat), norm_Tinv=spectral_norm(synth.Tinv_mat),
         k_sup=float(np.max(np.abs(synth.k))), k_inf=float(np.min(np.abs(synth.k))),
-        kb_inf=float(np.min(np.abs(synth.kb))),
-        F_inf=float(np.exp(np.min(log_f))), tb_max=synth.tb_residual_max,
-        cross_ratio=gain_cross_check(synth))
+        F_inf=float(np.exp(np.min(log_f))))
 
 
 def cost_sweep(model: SpectrumModel, bases, trunc: int) -> SweepResult:
     """Full synthesis at the certified damping parameter of each base N.
 
-    Resonance or certification alarms skip the point and continue.  The
-    fitted exponent is the OLS slope of log(norm T + norm T^-1) against
-    lambda^(1/alpha) over the surviving points.
+    Resonance or certification alarms (the TB = B bound among them) skip the
+    point and continue.  The fitted exponent is the OLS slope of
+    log(norm T + norm T^-1) against lambda^(1/alpha) over the surviving points.
     """
     bases = list(bases)
     if not bases:

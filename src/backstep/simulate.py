@@ -12,10 +12,10 @@ before T, with the gap reported).
 A schedule is the plan only: each stage's lambda, certificate, delta and start
 time.  `run_null_control` assembles one stage's synthesis at a time
 (`stage_synthesis`), propagates the state through it and drops it, so a run
-holds one stage's N x N matrices, not every stage's.  A stage's guards (its
-TB = B residual against `_TB_TOL`, and the assembly's own) therefore fire
-during the run, after the earlier stages have been propagated; with a
-divergence alarm set, an earlier stage's alarm can pre-empt a later stage's.
+holds one stage's N x N matrices, not every stage's.  A stage's guards (those
+of `assemble`, the TB = B bound among them) therefore fire during the run,
+after the earlier stages have been propagated; with a divergence alarm set,
+an earlier stage's alarm can pre-empt a later stage's.
 """
 
 from __future__ import annotations
@@ -28,12 +28,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cauchy import csum, format_scalar
-from .errors import CertificationError, DivergenceError, MathGuardError
+from .errors import DivergenceError, MathGuardError
 from .spectrum import DistCertificate, SpectrumModel, select_mu
 from .transform import BacksteppingSynthesis, assemble
 from .quantitative import linear_fit
-
-_TB_TOL = 1e-9  # acceptance bound on every stage's TB = B residual
 
 
 @dataclass(frozen=True)
@@ -194,18 +192,13 @@ def build_schedule(model: SpectrumModel, horizon: float, gamma: float, sigma: fl
 def stage_synthesis(schedule: NullControlSchedule, st: Stage) -> BacksteppingSynthesis:
     """Assemble one stage's feedback at the schedule's truncation.
 
-    A stage whose assembly fails a guard, or whose TB = B residual exceeds
-    `_TB_TOL`, raises a math guard that names the stage and its lambda.
+    A stage whose assembly fails a guard raises that math guard, relabelled
+    with the stage and its lambda.
     """
     try:
-        synth = assemble(schedule.model, st.lam, schedule.trunc, st.cert)
+        return assemble(schedule.model, st.lam, schedule.trunc, st.cert)
     except MathGuardError as exc:
         raise type(exc)(f"stage {st.index} (lambda {st.lam}): {exc}") from exc
-    if synth.tb_residual_max > _TB_TOL:
-        raise CertificationError(
-            f"stage {st.index} (lambda {st.lam}): TB=B residual {synth.tb_residual_max} "
-            f"exceeds the acceptance bound {_TB_TOL}")
-    return synth
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,9 @@ The gains solve the uniqueness condition T B = B.  The product route
 k_n b_n = -lambda P_n = -lambda F_n(lambda) has plain relative error.  The
 row-sum route k_n b_n = sum_j (C^-1)_nj agrees with it by the partial-fraction
 identity lambda sum_j Q_j / (lambda_j - lambda_n - lambda) = -1, but cancels
-catastrophically once lambda is large; `gain_cross_check` compares the two.
+catastrophically once lambda is large; `oracles.gain_cross_check` compares the
+two.  `assemble` is the one certification point of every synthesis; its
+guards include the TB = B bound `_TB_TOL`.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .spectrum import DistCertificate, SpectrumModel, dist_alpha
 
 _EPS = float(np.finfo(float).eps)
 _ASSEMBLY_TOL = 1e-6  # hard alarm; acceptance asserts the tight 1e-8 contract
+_TB_TOL = 1e-9        # acceptance bound on every synthesis's TB = B residual
 
 
 @dataclass(frozen=True)
@@ -129,8 +132,6 @@ class BacksteppingSynthesis:
     kb: np.ndarray
     T_mat: np.ndarray
     Tinv_mat: np.ndarray
-    cauchy: np.ndarray       # C_pn = 1/(lambda_p - lambda_n - lambda), shared by T and T^-1
-    q: np.ndarray            # the Lagrange column products Q_n
     tb_residuals: np.ndarray
     log_f: np.ndarray        # log|F_n| of the gain products, n <= N
 
@@ -155,10 +156,11 @@ def assemble(model: SpectrumModel, lam: float, N: int,
     """Build the full synthesis and verify its internal identities.
 
     Gains come from the product route; T and T^-1 come from one Cauchy
-    matrix.  Raises CertificationError if a gain or a column product Q_n
-    overflows float64 (checked before T, T^-1 or any sum is formed), or if
-    T . T^-1 is not finite or drifts from the identity beyond the assembly
-    alarm tolerance, and GainFloorError if a gain vanishes.
+    matrix.  In this order, raises CertificationError if a gain or a column
+    product Q_n overflows float64 (checked before T, T^-1 or any sum is formed),
+    GainFloorError if a gain vanishes, and CertificationError if T . T^-1 is
+    not finite or drifts from the identity beyond the assembly alarm tolerance,
+    or if the TB = B residual exceeds `_TB_TOL`.
     """
     cert = _certify(model, lam, cert)
     sys = CauchySystem.from_model(model, lam, N, cert)
@@ -177,13 +179,16 @@ def assemble(model: SpectrumModel, lam: float, N: int,
     # a reciprocal product, not a division: see cauchy.lagrange_products
     Tinv = (-lam * b)[:, None] * cmat.T * (q * (1.0 / b))[None, :]
     synth = BacksteppingSynthesis(model=model, lam=float(lam), N=N, cert=cert,
-                                  b=b, k=k, kb=kb, T_mat=T, Tinv_mat=Tinv, cauchy=cmat,
-                                  q=q, tb_residuals=_tb_residuals(cmat, kb), log_f=log_p)
+                                  b=b, k=k, kb=kb, T_mat=T, Tinv_mat=Tinv,
+                                  tb_residuals=_tb_residuals(cmat, kb), log_f=log_p)
     resid = inverse_residual(synth)
     if not math.isfinite(resid):
         raise CertificationError(f"T . T^-1 residual {resid}: float64 overflow at lambda {lam}")
     if resid > _ASSEMBLY_TOL:
         raise CertificationError(f"T . T^-1 residual {resid} exceeds assembly tolerance")
+    if synth.tb_residual_max > _TB_TOL:
+        raise CertificationError(f"TB=B residual {synth.tb_residual_max} exceeds the "
+                                 f"acceptance bound {_TB_TOL}")
     return synth
 
 
@@ -193,21 +198,6 @@ def inverse_residual(synth: BacksteppingSynthesis) -> float:
         p = synth.T_mat @ synth.Tinv_mat
         p.flat[::synth.N + 1] -= 1.0
         return float(np.max(np.abs(p)))
-
-
-def gain_cross_check(synth: BacksteppingSynthesis) -> float:
-    """Worst ratio max_n gap_n / bar_n of the row-sum and product gains.
-
-    The row-sum route k_n b_n = lambda^2 P_n S_n, S_n = csum_j(C_jn Q_j), is
-    the product route -lambda P_n times -lambda S_n, so gap_n = |k_n| |lambda
-    S_n + 1|: the partial-fraction identity, row by row.  bar_n adds the
-    product bar _term_relerr(N) |k_n| and the row-sum bar, the same constant
-    times the row mass lambda |k_n| sum_j |C_jn Q_j|; |k_n| cancels.
-    """
-    terms = synth.cauchy.T * synth.q[None, :]
-    gap = np.abs(synth.lam * csum(terms) + 1.0)
-    bar = _term_relerr(synth.N) * (1.0 + synth.lam * np.sum(np.abs(terms), axis=1))
-    return float(np.max(gap / bar))
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,8 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 PASS lines and timings.  The two 25-point sweeps (self-adjoint and
-skew-adjoint, truncation 300) are shared module fixtures.
+skew-adjoint, truncation 300) are shared module fixtures, and so are the
+TB = B residual and gain cross-check of each of their 50 points.
 """
 
 import json
@@ -14,7 +15,7 @@ import pytest
 
 from backstep.cauchy import CauchySystem, build_cauchy, explicit_inverse
 from backstep.cli import main as cli_main
-from backstep.oracles import all_J, oracle_inverse
+from backstep.oracles import all_J, gain_cross_check, oracle_inverse
 from backstep.quantitative import cost_sweep, linear_fit
 from backstep.simulate import (build_schedule, measure_decay, run_null_control,
                                stage_synthesis, state)
@@ -42,16 +43,40 @@ def certified_points(model, want=20, max_base=30):
     raise AssertionError("could not collect enough certified points")
 
 
-@pytest.fixture(scope="module")
-def heat_sweep():
-    model = make_spectrum(Kind.SELF_ADJOINT, 2.0, 1.0, 320)
-    return cost_sweep(model, range(1, 26), 300)
+SWEEP_BASES, SWEEP_TRUNC = range(1, 26), 300
 
 
 @pytest.fixture(scope="module")
-def skew_sweep():
-    model = make_spectrum(Kind.SKEW_ADJOINT, 2.0, 1.0, 320)
-    return cost_sweep(model, range(1, 26), 300)
+def heat_model():
+    return make_spectrum(Kind.SELF_ADJOINT, 2.0, 1.0, 320)
+
+
+@pytest.fixture(scope="module")
+def skew_model():
+    return make_spectrum(Kind.SKEW_ADJOINT, 2.0, 1.0, 320)
+
+
+@pytest.fixture(scope="module")
+def heat_sweep(heat_model):
+    return cost_sweep(heat_model, SWEEP_BASES, SWEEP_TRUNC)
+
+
+@pytest.fixture(scope="module")
+def skew_sweep(skew_model):
+    return cost_sweep(skew_model, SWEEP_BASES, SWEEP_TRUNC)
+
+
+@pytest.fixture(scope="module")
+def sweep_checks(heat_model, skew_model):
+    """(kind, base, TB=B residual max, gain cross-check ratio) at each of the
+    50 sweep points, each point assembled once."""
+    checks = []
+    for model in (heat_model, skew_model):
+        for base in SWEEP_BASES:
+            mu, cert = select_mu(model, base)
+            tb = assemble(model, mu, SWEEP_TRUNC, cert).tb_residual_max
+            checks.append((model.kind, base, tb, gain_cross_check(model, mu, SWEEP_TRUNC, cert)))
+    return checks
 
 
 @pytest.fixture(scope="module")
@@ -105,23 +130,20 @@ def test_c02_J_identically_one():
     _report(2, f"|J_n - 1| <= {worst:.2e} (tol 1e-9) over n<=N<=50, 100 lambdas, both kinds", t0)
 
 
-def test_c03_gain_cross_route(heat_sweep, skew_sweep):
+def test_c03_gain_cross_route(heat_sweep, skew_sweep, sweep_checks):
     t0 = time.monotonic()
-    worst = 0.0
-    for sweep in (heat_sweep, skew_sweep):
-        assert not sweep.skipped
-        for p in sweep.points:
-            assert p.cross_ratio <= 1.0, (p.base, p.cross_ratio)
-            worst = max(worst, p.cross_ratio)
+    assert not heat_sweep.skipped and not skew_sweep.skipped
+    assert len(sweep_checks) == 50
+    for kind, base, _, ratio in sweep_checks:
+        assert ratio <= 1.0, (kind, base, ratio)
+    worst = max(ratio for *_, ratio in sweep_checks)
     _report(3, f"row-sum vs product gains within their bars, row by row, at all 50 sweep points "
                f"(worst gap/bar {worst:.2g})", t0)
 
 
-def test_c04_tb_condition(heat_sweep, skew_sweep, null_schedule):
+def test_c04_tb_condition(sweep_checks, null_schedule):
     t0 = time.monotonic()
-    worst = 0.0
-    for sweep in (heat_sweep, skew_sweep):
-        worst = max(worst, max(p.tb_max for p in sweep.points))
+    worst = max(tb for _, _, tb, _ in sweep_checks)
     for st in null_schedule.stages:
         worst = max(worst, stage_synthesis(null_schedule, st).tb_residual_max)
     for kind in (Kind.SELF_ADJOINT, Kind.SKEW_ADJOINT):
@@ -180,10 +202,12 @@ def test_c07_cost_law(heat_sweep):
                f"(>=0.9); log-cost/lambda decreasing {seq[0]:.3f} -> {seq[-1]:.3f}", t0)
 
 
-def test_c08_gain_floor(heat_sweep, skew_sweep):
+def test_c08_gain_floor(heat_model, skew_model, heat_sweep, skew_sweep):
     t0 = time.monotonic()
+    # b = 1, so the sweep's k_inf is inf |k_n b_n|
+    assert np.all(heat_model.b == 1.0) and np.all(skew_model.b == 1.0)
     xs = np.array([p.lam ** 0.5 for p in heat_sweep.points])
-    lo = np.array([math.log(p.kb_inf) for p in heat_sweep.points])
+    lo = np.array([math.log(p.k_inf) for p in heat_sweep.points])
     hi = np.array([math.log(p.k_sup / p.lam) for p in heat_sweep.points])
 
     def envelope(sel, ys, side):
@@ -202,7 +226,7 @@ def test_c08_gain_floor(heat_sweep, skew_sweep):
     su, bu = envelope(slice(0, None, 2), hi, "upper")
     assert np.all(hi <= su * xs + bu + 1.0)    # k_sup <= C lam e^(c lam^(1/2))
 
-    worst = min(p.kb_inf / p.lam for p in skew_sweep.points)
+    worst = min(p.k_inf / p.lam for p in skew_sweep.points)
     assert worst >= 1.0 - 1e-12               # exact law |k_n b_n| >= lambda
     _report(8, f"inf|k b| >= e^(-{c_hat:.2f} sqrt(lam))/{math.exp(log_C):.2f} "
                f"(stable constants); skew |k b| >= lambda pointwise (min ratio {worst:.6f})", t0)

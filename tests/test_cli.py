@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -119,6 +120,27 @@ def test_synth_gain_overflow_exits_3(tmp_path, capsys):
     # the gain products overflow float64: a mathematical failure, not usage
     assert run(tmp_path, "synth", "--lambda", "300000.5", "--trunc", "300") == 3
     assert "gain k[1] = -inf" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,out", [("synth", "synthesis.json"),
+                                         ("simulate", "trajectory.csv")])
+def test_tb_bound_exits_3(tmp_path, capsys, command, out):
+    # the certified damping near N = 64 at truncation 48 leaves TB=B at 4.43e-8
+    assert run(tmp_path, command, "--n-base", "64", "--trunc", "48") == 3
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: TB=B residual 4\.43\d*e-08 exceeds the acceptance bound 1e-09\n",
+                        err), err
+    assert not (tmp_path / out).exists()
+
+
+def test_cost_sweep_skips_points_past_tb_bound(tmp_path):
+    assert run(tmp_path, "cost-sweep", "--n-range", "63:65", "--trunc", "48") == 0
+    lines = (tmp_path / "cost_sweep.csv").read_text().splitlines()
+    assert lines[0] == "N,lambda,dist,norm_T,norm_Tinv,k_sup,k_inf,F_inf,fit_exponent"
+    assert len(lines) == 4
+    for base, line in zip((63, 64, 65), lines[1:]):
+        assert re.fullmatch(rf"# skipped N={base}: CertificationError: TB=B residual \S+e-08 "
+                            r"exceeds the acceptance bound 1e-09", line), line
 
 
 def test_cost_sweep_csv(tmp_path):

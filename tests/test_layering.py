@@ -2,11 +2,13 @@
 
 `backstep.oracles` holds the brute-force checks; only the CLI (for
 `cauchy-verify`) and the package root may import it, and no runtime module
-keeps a copy or an alias of what moved there.
+keeps a copy or an alias of what moved there.  The TB = B certification
+lives in `transform` alone.
 """
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "backstep"
@@ -14,7 +16,7 @@ MAY_IMPORT_ORACLES = {"cli.py", "__init__.py"}
 MOVED = ("oracle_inverse", "LogSignedProduct", "eval_J", "all_J",
          "bound_check_products", "bound_check_sums", "lower_bound_check_F",
          "ProductBoundReport", "SumBoundReport", "LowerBoundReport",
-         "factorization_residual")
+         "factorization_residual", "gain_cross_check")
 
 
 def _imports_oracles(tree: ast.AST) -> bool:
@@ -73,3 +75,31 @@ def test_one_norm_route_outside_the_oracles():
     callers = {p.name for p in SRC.glob("*.py")
                if _calls_svd(ast.parse(p.read_text(encoding="utf-8")))}
     assert callers <= MAY_CALL_SVD
+
+
+CERTIFIES = "transform.py"
+TB_FIELDS = ("tb_residual_max", "tb_residuals")
+
+
+def _tb_certification(tree: ast.AST) -> list[str]:
+    """Reads of a synthesis's TB = B residuals, and names of TB tolerances."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in TB_FIELDS:
+            found.append(node.attr)
+        elif isinstance(node, ast.Name) and re.search(r"TB.*TOL", node.id, re.I):
+            found.append(node.id)
+    return found
+
+
+def test_one_certification_point():
+    """`transform.assemble` certifies every synthesis against the TB = B bound;
+    no other module keeps a tolerance for the residual or reads it."""
+    for code in ("if synth.tb_residual_max > _TB_TOL: pass", "_TB_TOL = 1e-9",
+                 "worst = max(s.tb_residuals)", "tb_tol = 1e-9"):
+        assert _tb_certification(ast.parse(code)), code
+    assert not _tb_certification(ast.parse("synth = assemble(model, lam, N, cert)"))
+    offenders = {p.name: _tb_certification(ast.parse(p.read_text(encoding="utf-8")))
+                 for p in SRC.glob("*.py") if p.name != CERTIFIES}
+    assert {name: found for name, found in offenders.items() if found} == {}
+    assert _tb_certification(ast.parse((SRC / CERTIFIES).read_text(encoding="utf-8")))

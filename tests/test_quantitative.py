@@ -6,7 +6,7 @@ import pytest
 from backstep.cauchy import CauchySystem, lagrange_products
 from backstep.errors import ResonanceError
 from backstep.oracles import (all_J, bound_check_products, bound_check_sums, eval_J,
-                              lower_bound_check_F)
+                              gain_cross_check, lower_bound_check_F)
 from backstep.quantitative import cost_sweep, linear_fit, probe_depth, sweep_to_csv
 from backstep.spectrum import Kind, make_spectrum, select_mu
 from backstep.transform import assemble, feedback_gains_product, feedback_gains_rowsum
@@ -119,8 +119,9 @@ def test_cost_sweep_small():
     for p in res.points:
         assert p.norm_T * p.norm_Tinv >= 1.0
         assert p.k_inf > 0
-        assert p.cross_ratio <= 1.0
-        assert p.tb_max <= 1e-9
+        mu, cert = select_mu(m, p.base)
+        assert gain_cross_check(m, mu, 80, cert) <= 1.0
+        assert assemble(m, mu, 80, cert).tb_residual_max <= 1e-9
         assert p.fitted_exponent == res.slope
     with pytest.raises(ValueError):
         cost_sweep(m, [], 80)
@@ -150,9 +151,10 @@ def test_cost_sweep_skips_failed_point(monkeypatch):
 
 def test_skew_sweep_gain_law():
     sk = make_spectrum(Kind.SKEW_ADJOINT, 2.0, 1.0, 64)
+    assert np.all(sk.b == 1.0)          # so k_inf is inf |k_n b_n|
     res = cost_sweep(sk, range(1, 5), 48)
     for p in res.points:
-        assert p.kb_inf >= p.lam * (1.0 - 1e-12)
+        assert p.k_inf >= p.lam * (1.0 - 1e-12)
         assert p.F_inf >= 1.0 - 1e-12
 
 
@@ -240,19 +242,24 @@ def test_one_product_evaluation_per_synthesis(monkeypatch):
 
 @pytest.mark.parametrize("kind", [Kind.SELF_ADJOINT, Kind.SKEW_ADJOINT])
 def test_gain_cross_check_bits(kind):
-    # the sweep's cross-check, written out from the synthesis's Cauchy matrix
-    # and column products; and the row-sum route over the explicit inverse
-    # stays within its bar at every row
-    from backstep.cauchy import csum
-    from backstep.transform import _term_relerr, gain_cross_check
+    # the cross-check, written out from the Cauchy matrix and column products
+    # that build the synthesis's T^-1; and the row-sum route over the explicit
+    # inverse stays within its bar at every row
+    from backstep.cauchy import build_cauchy, csum
+    from backstep.transform import _term_relerr
     m = make_spectrum(kind, 2.0, 1.0, 128)
     for base, N in ((2, 32), (6, 100)):
         mu, cert = select_mu(m, base)
         s = assemble(m, mu, N, cert)
-        terms = s.cauchy.T * s.q[None, :]
+        sysm = CauchySystem.from_model(m, mu, N, cert)
+        C = build_cauchy(sysm)
+        _, _, log_q, sgn_q = lagrange_products(sysm)
+        q = sgn_q * np.exp(log_q)
+        assert np.array_equal(s.Tinv_mat, (-mu * s.b)[:, None] * C.T * (q * (1.0 / s.b))[None, :])
+        terms = C.T * q[None, :]
         gap = np.abs(mu * csum(terms) + 1.0)
         bar = _term_relerr(N) * (1.0 + mu * np.sum(np.abs(terms), axis=1))
-        ratio = gain_cross_check(s)
+        ratio = gain_cross_check(m, mu, N, cert)
         assert ratio == float(np.max(gap / bar)) and ratio <= 1.0
         rows = feedback_gains_rowsum(m, mu, N, cert)
         assert np.all(np.abs(rows.values - s.k) <= rows.roundoff + _term_relerr(N) * np.abs(s.k))

@@ -8,14 +8,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from backstep import transform
-from backstep.cauchy import CauchySystem, build_cauchy, explicit_inverse
-from backstep.errors import CertificationError, GainFloorError, ResonanceError
-from backstep.oracles import factorization_residual
+from backstep.cauchy import CauchySystem, build_cauchy, explicit_inverse, lagrange_products
+from backstep.errors import CertificationError, GainFloorError, MathGuardError, ResonanceError
+from backstep.oracles import factorization_residual, gain_cross_check
 from backstep.spectrum import (DistCertificate, Kind, dist_alpha, make_spectrum,
                                make_tabulated, select_mu)
 from backstep.transform import (assemble, chi, condition_number,
                                 feedback_gains_product, feedback_gains_rowsum,
-                                gain_cross_check, inverse_residual,
+                                inverse_residual,
                                 operator_identity_residual, spectral_norm,
                                 synthesis_to_json, verify_closed_loop_eigen,
                                 weighted_norm)
@@ -23,6 +23,12 @@ from backstep.transform import (assemble, chi, condition_number,
 
 def heat(n_max=64):
     return make_spectrum(Kind.SELF_ADJOINT, 2.0, 1.0, n_max)
+
+
+def column_products(sysm):
+    """The Lagrange column products Q_n, as `assemble` forms them."""
+    _, _, log_q, sgn_q = lagrange_products(sysm)
+    return sgn_q * np.exp(log_q)
 
 
 def test_gains_rowsum_examples():
@@ -73,6 +79,16 @@ def test_tb_residual_examples():
 def test_tb_residual_grid(lam, N):
     s = assemble(heat(128), lam, N)
     assert s.tb_residual_max <= 1e-9
+
+
+def test_assemble_refuses_tb_residual_past_bound():
+    # the certified damping near N = 64 at truncation 48 leaves TB=B at 4.43e-8
+    assert transform._TB_TOL == 1e-9
+    m = heat()
+    mu, cert = select_mu(m, 64)
+    with pytest.raises(CertificationError,
+                       match=r"^TB=B residual 4\.43\d*e-08 exceeds the acceptance bound 1e-09$"):
+        assemble(m, mu, 48, cert)
 
 
 def test_assemble_2x2():
@@ -345,11 +361,10 @@ def test_assemble_inverse_matches_explicit_inverse():
         synth = assemble(model, lam, 48)
         sysm = CauchySystem.from_model(model, lam, 48, synth.cert)
         C = build_cauchy(sysm)
-        assert synth.cauchy.dtype == synth.Tinv_mat.dtype == C.dtype
-        assert np.array_equal(synth.cauchy, C)
+        assert synth.T_mat.dtype == synth.Tinv_mat.dtype == C.dtype
         assert np.array_equal(synth.T_mat, synth.b[:, None] * C * synth.k[None, :])
-        b = synth.b
-        assert np.array_equal(synth.Tinv_mat, (-lam * b)[:, None] * C.T * (synth.q * (1.0 / b))[None, :])
+        b, q = synth.b, column_products(sysm)
+        assert np.array_equal(synth.Tinv_mat, (-lam * b)[:, None] * C.T * (q * (1.0 / b))[None, :])
         E = explicit_inverse(sysm)
         ref = (1.0 / synth.k)[:, None] * E * (1.0 / b)[None, :]
         assert np.max(np.abs(synth.Tinv_mat - ref)) <= 1e-14 * np.max(np.abs(ref))
@@ -357,7 +372,8 @@ def test_assemble_inverse_matches_explicit_inverse():
 
 def test_real_synthesis_matches_complex_nodes(monkeypatch):
     # assemble on real nodes must reproduce, bit for bit, a synthesis whose
-    # Cauchy kernel ran on complex-typed nodes with zero imaginary parts
+    # Cauchy kernel ran on complex-typed nodes with zero imaginary parts; past
+    # the certified frontier both must refuse with the same guard and message
     rng = np.random.default_rng(5)
     levels = np.cumsum(rng.uniform(1.0, 9.0, 64)) + 0.25
     models = [make_spectrum(Kind.SELF_ADJOINT, a, 1.0, 64) for a in (1.5, 2.0, 3.0)]
@@ -368,7 +384,13 @@ def test_real_synthesis_matches_complex_nodes(monkeypatch):
         s = real_from_model(cls, model, lam, N, cert)
         return cls(x=s.x.astype(complex), lam=s.lam, min_sep=s.min_sep)
 
-    compared = 0
+    def outcome(model, lam, cert):
+        try:
+            return assemble(model, lam, 64, cert)
+        except MathGuardError as exc:
+            return exc
+
+    compared = assembled = 0
     for model in models:
         for lam in (0.7, 13.3, 57.1, 99.7):
             if model.tabulated:      # a certificate for the 64 tabulated modes only
@@ -376,19 +398,21 @@ def test_real_synthesis_matches_complex_nodes(monkeypatch):
                 cert = DistCertificate(lam=lam, dist=dist, witness_pair=None)
             else:
                 cert = dist_alpha(model, lam)
-            try:
-                real = assemble(model, lam, 64, cert)
-            except CertificationError:
-                continue            # T . T^-1 alarm: past the certified frontier
-            assert all(getattr(real, f).dtype == np.float64
-                       for f in ("k", "q", "cauchy", "T_mat", "Tinv_mat"))
+            real = outcome(model, lam, cert)
             with monkeypatch.context() as mp:
                 mp.setattr(CauchySystem, "from_model", classmethod(complex_from_model))
-                cplx = assemble(model, lam, 64, cert)
-            for f in ("k", "q", "cauchy", "T_mat", "Tinv_mat", "tb_residuals"):
-                assert np.array_equal(getattr(real, f), getattr(cplx, f)), (model.alpha, lam, f)
+                cplx = outcome(model, lam, cert)
+            assert type(cplx) is type(real), (model.alpha, lam, real, cplx)
+            if isinstance(real, MathGuardError):
+                assert str(cplx) == str(real), (model.alpha, lam)
+            else:
+                for f in ("k", "T_mat", "Tinv_mat", "tb_residuals", "log_f"):
+                    assert getattr(real, f).dtype == np.float64, (model.alpha, lam, f)
+                    assert np.array_equal(getattr(real, f), getattr(cplx, f)), (model.alpha, lam, f)
+                assembled += 1
             compared += 1
-    assert compared >= 10         # 11 of the 16 (model, lambda) pairs assemble
+    assert compared == 16
+    assert assembled >= 8         # 8 of the 16 (model, lambda) pairs assemble
 
 
 def test_rowsum_bars_match_per_row_loop():
@@ -406,21 +430,22 @@ def test_row_sums_match_per_row_loop(kind):
     # one csum per matrix must give the bits of one csum per row, including
     # the complex modulus of the TB residuals (numpy's complex abs differs)
     from backstep.cauchy import csum
-    from backstep.transform import _term_relerr, gain_cross_check
+    from backstep.transform import _term_relerr
     m = make_spectrum(kind, 2.0, 1.0, 64)
     for base, N in ((2, 32), (5, 64)):
         mu, cert = select_mu(m, base)
         s = assemble(m, mu, N, cert)
-        loop = np.array([abs(csum(row) - 1.0) for row in s.cauchy * s.kb[None, :]])
+        sysm = CauchySystem.from_model(m, mu, N, cert)
+        C = build_cauchy(sysm)
+        loop = np.array([abs(csum(row) - 1.0) for row in C * s.kb[None, :]])
         assert s.tb_residuals.tobytes() == loop.tobytes()
-        cols = s.cauchy.T * s.q[None, :]
+        cols = C.T * column_products(sysm)[None, :]
         sums = np.array([csum(row) for row in cols], dtype=cols.dtype)
         bars = _term_relerr(N) * (1.0 + mu * np.sum(np.abs(cols), axis=1))
-        assert gain_cross_check(s) == float(np.max(np.abs(mu * sums + 1.0) / bars))
+        assert gain_cross_check(m, mu, N, cert) == float(np.max(np.abs(mu * sums + 1.0) / bars))
 
 
-_SYNTH_ARRAYS = ("b", "k", "kb", "T_mat", "Tinv_mat", "cauchy", "q", "tb_residuals",
-                 "log_f", "eigenvalues")
+_SYNTH_ARRAYS = ("b", "k", "kb", "T_mat", "Tinv_mat", "tb_residuals", "log_f", "eigenvalues")
 
 
 @settings(max_examples=120, deadline=None)
@@ -433,6 +458,6 @@ def test_unbounded_control_operator(kind, alpha, beta, base, N):
     s = assemble(m, mu, N, cert)
     assert s.tb_residual_max <= 1e-9
     assert inverse_residual(s) <= 1e-8
-    assert gain_cross_check(s) <= 1.0
+    assert gain_cross_check(m, mu, N, cert) <= 1.0
     if kind is Kind.SELF_ADJOINT:
         assert all(getattr(s, f).dtype == np.float64 for f in _SYNTH_ARRAYS)
