@@ -18,13 +18,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .cauchy import CauchySystem, build_cauchy, csum, explicit_inverse, format_scalar
+from .cauchy import CauchySystem, build_cauchy, explicit_inverse, format_scalar
 from .errors import MathGuardError
 from .oracles import oracle_inverse
 from .quantitative import cost_sweep, sweep_to_csv
 from .simulate import (build_schedule, run_null_control, s_weights,
-                       schedule_manifest_json, stage_truncation, state,
-                       trajectory, write_trajectory_csv)
+                       schedule_manifest_json, stage_truncation, trajectory,
+                       trajectory_row, write_trajectory_csv)
 from .spectrum import (Kind, dist_alpha, make_spectrum, model_from_json,
                        select_mu, verify_gaps)
 from .transform import assemble, synthesis_to_json
@@ -213,7 +213,7 @@ def _initial_state(cfg, n):
         y = np.zeros(n)
         y[[m - 1 for m in modes]] = 1.0
         y /= np.linalg.norm(y)
-    return state(y, float(cfg.get("s_weight", 0.0)))
+    return y
 
 
 # ---------------------------------------------------------------------------
@@ -282,9 +282,8 @@ def cmd_simulate(cfg) -> int:
     if t_steps < 0:
         raise ValueError(f"t_steps must be non-negative, got {t_steps}")
     ts = [float(t) for t in np.linspace(0.0, float(cfg["t_max"]), t_steps + 1)]
-    weights = s_weights(model, trunc, y0.s_weight)
-    rows = [(t, float(np.linalg.norm(y)), float(np.linalg.norm(weights * y)), csum(synth.k * y))
-            for t, y in zip(ts, trajectory(synth, y0.coeffs, ts))]
+    weights = s_weights(model, trunc, float(cfg["s_weight"]))
+    rows = [trajectory_row(synth, weights, t, y) for t, y in zip(ts, trajectory(synth, y0, ts))]
     write_trajectory_csv(rows, cfg["out"])
     print(f"trajectory lambda={lam} -> {cfg['out']}")
     return 0
@@ -306,7 +305,7 @@ def cmd_null_control(cfg) -> int:
     schedule = build_schedule(model, float(cfg["horizon"]), float(cfg["gamma"]),
                               float(cfg["sigma"]), stages, trunc)
     y0 = _initial_state(cfg, schedule.trunc)
-    report = run_null_control(schedule, y0,
+    report = run_null_control(schedule, y0, float(cfg["s_weight"]),
                               growth_c_hat=cfg.get("growth_c_hat"),
                               growth_C_hat=float(cfg["growth_C_hat"]))
     prefix = cfg["out_prefix"]

@@ -1,9 +1,12 @@
-"""Reference layer: independent oracles for the explicit synthesis.
+"""Reference layer: independent oracles for the explicit synthesis and the
+closed-loop checks of what it gives.
 
 Only the `cauchy-verify` command imports this module.  Each oracle checks a
 closed form by a route that does not share it, and states its own error in
 u = 2^-53 and gamma_n = n u / (1 - n u) (Higham, *Accuracy and Stability of
-Numerical Algorithms*, 2002, section 3.1)."""
+Numerical Algorithms*, 2002, section 3.1).  The closed-loop checks test the
+paper's facts on an assembled synthesis: the eigenfunctions chi_n, the
+identity T (A + BK) = (A - lambda I) T, and the decay they give."""
 
 from __future__ import annotations
 
@@ -17,7 +20,8 @@ from .cauchy import CauchySystem, build_cauchy, csum, lagrange_products
 from .errors import SingularMatrixError
 from .quantitative import linear_fit, probe_depth
 from .spectrum import Kind, SpectrumModel, dist_alpha
-from .transform import BacksteppingSynthesis, _term_relerr
+from .simulate import trajectory
+from .transform import BacksteppingSynthesis, _certify, _term_relerr, spectral_norm
 
 
 def oracle_inverse(mat: np.ndarray, pivot_rtol: float = 1e-12) -> np.ndarray:
@@ -269,3 +273,93 @@ def gain_cross_check(model: SpectrumModel, lam: float, N: int, cert=None) -> flo
     gap = np.abs(lam * csum(terms) + 1.0)
     bar = _term_relerr(N) * (1.0 + lam * np.sum(np.abs(terms), axis=1))
     return float(np.max(gap / bar))
+
+
+# ---------------------------------------------------------------------------
+# closed-loop checks
+
+
+def chi(model: SpectrumModel, lam: float, n: int, N: int, cert=None) -> np.ndarray:
+    """Coefficients chi_n[p] = b_p / (lambda_p - lambda_n + lambda), p <= N, of
+    the closed-loop eigenfunction chi_n, for 1 <= n <= N <= model.n_max.
+    Error: each entry within 4u (1 + |lambda_p - lambda_n| / Dist) relative.
+    """
+    _certify(model, lam, cert)
+    if not 1 <= n <= N <= model.n_max:
+        raise ValueError(f"chi needs 1 <= n <= N <= {model.n_max} (got n={n}, N={N})")
+    zeta = model.eigenvalues[:N]
+    return model.b[:N] / (zeta - zeta[n - 1] + lam)
+
+
+@dataclass(frozen=True)
+class ClosedLoopCheck:
+    n: int
+    k_on_chi: float | complex
+    collinearity_defect: float
+    eigen_defect: float
+
+
+def verify_closed_loop_eigen(synth: BacksteppingSynthesis, n: int) -> ClosedLoopCheck:
+    """Diagnostics for chi_n: <K, chi_n> (expect -1), collinearity of T chi_n
+    with phi_n, and the eigenvector defect of A + BK at truncation.
+    Error: `chi`'s relative error times sum_p |k_p chi_n[p]| on <K, chi_n>, and
+    gamma_N times the norms of their terms on the two defects.
+    """
+    v = chi(synth.model, synth.lam, n, synth.N, synth.cert)
+    k_on_chi = csum(synth.k * v)
+
+    tchi = synth.T_mat @ v
+    aligned = np.zeros_like(tchi)
+    aligned[n - 1] = tchi[n - 1]
+    norm_t = float(np.linalg.norm(tchi))
+    coll = float(np.linalg.norm(tchi - aligned)) / norm_t if norm_t else 0.0
+
+    lam_p = synth.eigenvalues
+    target = lam_p[n - 1] - synth.lam
+    resid = lam_p * v + synth.b * k_on_chi - target * v
+    eig = float(np.linalg.norm(resid)) / float(np.linalg.norm(v))
+    return ClosedLoopCheck(n=n, k_on_chi=k_on_chi, collinearity_defect=coll, eigen_defect=eig)
+
+
+def operator_identity_residual(synth: BacksteppingSynthesis) -> float:
+    """Relative max-norm defect of T (A + BK) = (A - lambda I) T at truncation.
+    Error: gamma_{N+1} |T| (|A| + |b| |k|) entrywise (Higham 2002, section 3.5).
+    """
+    A = np.diag(synth.eigenvalues)
+    lhs = synth.T_mat @ (A + np.outer(synth.b, synth.k))
+    rhs = (A - synth.lam * np.eye(synth.N)) @ synth.T_mat
+    scale = float(np.max(np.abs(rhs))) or 1.0
+    return float(np.max(np.abs(lhs - rhs))) / scale
+
+
+def condition_number(synth: BacksteppingSynthesis) -> float:
+    """||T|| ||T^-1|| at truncation.  Error: `spectral_norm`'s on each factor,
+    about 10 eps relative in all."""
+    return spectral_norm(synth.T_mat) * spectral_norm(synth.Tinv_mat)
+
+
+@dataclass(frozen=True)
+class DecayReport:
+    C_hat: float
+    rate_hat: float | None
+
+
+def measure_decay(synth: BacksteppingSynthesis, y0: np.ndarray, t_grid) -> DecayReport:
+    """Transient constant and fitted exponential rate over a time grid.
+
+    C_hat = max_t e^{lambda t} ||y(t)|| / ||y0||, which never exceeds the
+    condition number of T at truncation; rate_hat is the log-linear fit of
+    ||y(t)|| (None on the zero trajectory).  Error: each ||y(t)|| within
+    about 2 gamma_N cond(T) relative (the two matrix-vector products of
+    `simulate.trajectory`).
+    """
+    ts = [float(t) for t in t_grid]
+    if not ts or any(b <= a for a, b in zip(ts, ts[1:])):
+        raise ValueError("time grid must be nonempty and increasing")
+    n0 = float(np.linalg.norm(y0))
+    if n0 == 0.0:
+        return DecayReport(C_hat=0.0, rate_hat=None)
+    norms = [float(np.linalg.norm(y)) for y in trajectory(synth, y0, ts)]
+    C_hat = max(math.exp(synth.lam * t) * n / n0 for t, n in zip(ts, norms))
+    fit = linear_fit(ts, [math.log(n) for n in norms]) if all(n > 0 for n in norms) else None
+    return DecayReport(C_hat=C_hat, rate_hat=None if fit is None else fit[0])

@@ -9,6 +9,9 @@ delta_N = (T/L_sigma) lambda(N)^(-1/sigma), with lambda(N) certified inside
 closed with an integral tail bound (so the scheduled horizon ends strictly
 before T, with the gap reported).
 
+A state is its coefficient array y_n = <y, phi_n>; both trajectory files
+print one `trajectory_row` (t, H norm, s-norm, control) per sampled time.
+
 A schedule is the plan only: each stage's lambda, certificate, delta and start
 time.  `run_null_control` assembles one stage's synthesis at a time
 (`stage_synthesis`), propagates the state through it and drops it, so a run
@@ -31,33 +34,12 @@ from .cauchy import csum, format_scalar
 from .errors import DivergenceError, MathGuardError
 from .spectrum import DistCertificate, SpectrumModel, select_mu
 from .transform import BacksteppingSynthesis, assemble
-from .quantitative import linear_fit
-
-
-@dataclass(frozen=True)
-class StateVector:
-    """Eigenbasis coordinates with an optional weighted-norm exponent."""
-    coeffs: np.ndarray
-    s_weight: float = 0.0
-
-
-def state(coeffs, s: float = 0.0) -> StateVector:
-    return StateVector(coeffs=np.asarray(coeffs), s_weight=float(s))
-
-
-def norm_h(sv: StateVector) -> float:
-    return float(np.linalg.norm(sv.coeffs))
 
 
 def s_weights(model: SpectrumModel, n: int, s: float) -> np.ndarray:
     """|lambda_j|^s for j <= n, the weights of the s-norm; |lambda_j| is the
     level ell_j."""
     return model.levels[:n] ** s
-
-
-def norm_weighted(sv: StateVector, model: SpectrumModel) -> float:
-    """sqrt(sum |lambda_n|^(2s) |c_n|^2); equals the H norm at s = 0."""
-    return float(np.linalg.norm(s_weights(model, sv.coeffs.size, sv.s_weight) * sv.coeffs))
 
 
 def trajectory(synth: BacksteppingSynthesis, y: np.ndarray, ts) -> Iterator[np.ndarray]:
@@ -79,35 +61,17 @@ def trajectory(synth: BacksteppingSynthesis, y: np.ndarray, ts) -> Iterator[np.n
     return (synth.Tinv_mat @ (np.exp(rate * t) * w) for t in ts)
 
 
-def propagate(synth: BacksteppingSynthesis, sv: StateVector, t: float) -> StateVector:
+def propagate(synth: BacksteppingSynthesis, y: np.ndarray, t: float) -> np.ndarray:
     """Exact closed-loop propagation T^-1 diag(e^{(lambda_n - lambda) t}) T y."""
-    (out,) = trajectory(synth, sv.coeffs, [t])
-    return StateVector(coeffs=out, s_weight=sv.s_weight)
+    (out,) = trajectory(synth, y, [t])
+    return out
 
 
-@dataclass(frozen=True)
-class DecayReport:
-    C_hat: float
-    rate_hat: float | None
-
-
-def measure_decay(synth: BacksteppingSynthesis, sv: StateVector, t_grid) -> DecayReport:
-    """Transient constant and fitted exponential rate over a time grid.
-
-    C_hat = max_t e^{lambda t} ||y(t)|| / ||y0||, which never exceeds the
-    condition number of T at truncation; rate_hat is the log-linear fit of
-    ||y(t)|| (None on the zero trajectory).
-    """
-    ts = [float(t) for t in t_grid]
-    if not ts or any(b <= a for a, b in zip(ts, ts[1:])):
-        raise ValueError("time grid must be nonempty and increasing")
-    n0 = norm_h(sv)
-    if n0 == 0.0:
-        return DecayReport(C_hat=0.0, rate_hat=None)
-    norms = [float(np.linalg.norm(y)) for y in trajectory(synth, sv.coeffs, ts)]
-    C_hat = max(math.exp(synth.lam * t) * n / n0 for t, n in zip(ts, norms))
-    fit = linear_fit(ts, [math.log(n) for n in norms]) if all(n > 0 for n in norms) else None
-    return DecayReport(C_hat=C_hat, rate_hat=None if fit is None else fit[0])
+def trajectory_row(synth: BacksteppingSynthesis, weights: np.ndarray, t: float,
+                   y: np.ndarray) -> tuple[float, float, float, float | complex]:
+    """One trajectory sample (t, ||y||, ||y||_s, u): `weights` are the s-norm's
+    `s_weights`, and the control u = sum_n k_n y_n is summed exactly."""
+    return t, float(np.linalg.norm(y)), float(np.linalg.norm(weights * y)), csum(synth.k * y)
 
 
 # ---------------------------------------------------------------------------
@@ -218,14 +182,14 @@ class NullControlReport:
     records: tuple[StageRecord, ...]
     final_ratio: float
     final_ratio_weighted: float
-    samples: tuple[tuple[float, float, float, complex], ...]   # (t, norm_H, norm_s, u)
+    samples: tuple[tuple[float, float, float, float | complex], ...]   # trajectory rows
 
 
-def run_null_control(schedule: NullControlSchedule, sv: StateVector,
+def run_null_control(schedule: NullControlSchedule, y0: np.ndarray, s_weight: float = 0.0,
                      samples_per_stage: int = 16,
                      growth_c_hat: float | None = None,
                      growth_C_hat: float = 10.0) -> NullControlReport:
-    """Drive the state through every stage, recording norms and control size.
+    """Drive `y0` through every stage, recording the H and s-norms and the control size.
 
     Each stage's synthesis is assembled when the state reaches it and dropped
     after it, so a stage's guard (see `stage_synthesis`) fires here.  With
@@ -233,15 +197,11 @@ def run_null_control(schedule: NullControlSchedule, sv: StateVector,
     growth_C_hat * exp(growth_c_hat * lambda^(1/alpha)) raises the divergence
     alarm: the certified transient factor cannot explain such growth.
     """
-    if sv.coeffs.size != schedule.trunc:
-        raise ValueError(f"state length {sv.coeffs.size} mismatches schedule truncation {schedule.trunc}")
+    if y0.size != schedule.trunc:
+        raise ValueError(f"state length {y0.size} mismatches schedule truncation {schedule.trunc}")
     alpha = schedule.model.alpha
-    weights = s_weights(schedule.model, schedule.trunc, sv.s_weight)
-
-    def norm_s(c: np.ndarray) -> float:
-        return float(np.linalg.norm(weights * c))
-
-    y = sv.coeffs
+    weights = s_weights(schedule.model, schedule.trunc, s_weight)
+    y = y0
     records = []
     samples = []
     for st in schedule.stages:
@@ -251,9 +211,8 @@ def run_null_control(schedule: NullControlSchedule, sv: StateVector,
         taus = [st.delta * q / samples_per_stage for q in range(samples_per_stage)]
         states = trajectory(synth, y, taus + [st.delta])
         for tau, y_t in zip(taus, states):
-            u = csum(synth.k * y_t)
-            max_u = max(max_u, abs(u))
-            samples.append((st.t_start + tau, float(np.linalg.norm(y_t)), norm_s(y_t), complex(u)))
+            samples.append(trajectory_row(synth, weights, st.t_start + tau, y_t))
+            max_u = max(max_u, abs(samples[-1][3]))
         y = next(states)
         n_out = float(np.linalg.norm(y))
         if growth_c_hat is not None and n_in > 0.0:
@@ -264,17 +223,18 @@ def run_null_control(schedule: NullControlSchedule, sv: StateVector,
                     f"factor {limit}")
         contraction = math.log(n_out / n_in) if n_in > 0 and n_out > 0 else float("-inf")
         records.append(StageRecord(index=st.index, lam=st.lam, delta=st.delta,
-                                   norm_in=n_in, norm_out=n_out, norm_out_weighted=norm_s(y),
+                                   norm_in=n_in, norm_out=n_out,
+                                   norm_out_weighted=float(np.linalg.norm(weights * y)),
                                    contraction_log=contraction, max_u=max_u))
         # release this stage's matrices before the next stage is assembled
         del synth, states
-    n_end, ns_end = float(np.linalg.norm(y)), norm_s(y)
+    n_end, ns_end = float(np.linalg.norm(y)), float(np.linalg.norm(weights * y))
     samples.append((schedule.t_end, n_end, ns_end, 0.0 + 0.0j))
-    n_in0, n_w0 = norm_h(sv), norm_s(sv.coeffs)
+    n_0, ns_0 = float(np.linalg.norm(y0)), float(np.linalg.norm(weights * y0))
     return NullControlReport(
         records=tuple(records),
-        final_ratio=n_end / n_in0 if n_in0 > 0 else 0.0,
-        final_ratio_weighted=(ns_end / n_w0) if n_w0 > 0 else 0.0,
+        final_ratio=n_end / n_0 if n_0 > 0 else 0.0,
+        final_ratio_weighted=ns_end / ns_0 if ns_0 > 0 else 0.0,
         samples=tuple(samples))
 
 

@@ -62,10 +62,6 @@ class SpectrumModel:
             raise ValueError(f"tabulated spectrum has no level {n} (n_max={self.n_max})")
         return self.scale * float(n) ** self.alpha
 
-    def eigenvalue(self, n: int) -> float | complex:
-        ell = self.level(n)
-        return -ell if self.kind is Kind.SELF_ADJOINT else -1j * ell
-
 
 def make_spectrum(kind: Kind | str,
                   alpha: float,

@@ -1,4 +1,4 @@
-"""Backstepping transformation, feedback gains, and closed-loop verification.
+"""Backstepping transformation, feedback gains and operator norms.
 
 All matrices act on coefficient vectors in the eigenbasis: `T_mat[p, n]` is
 the table entry <T phi_n, phi_p> = k_n b_p / (lambda_p - lambda_n - lambda),
@@ -15,7 +15,8 @@ row-sum route k_n b_n = sum_j (C^-1)_nj agrees with it by the partial-fraction
 identity lambda sum_j Q_j / (lambda_j - lambda_n - lambda) = -1, but cancels
 catastrophically once lambda is large; `oracles.gain_cross_check` compares the
 two.  `assemble` is the one certification point of every synthesis; its
-guards include the TB = B bound `_TB_TOL`.
+guards include the TB = B bound `_TB_TOL`.  The closed-loop checks (chi_n,
+T (A + BK) = (A - lambda I) T, decay) are oracles: see `oracles`.
 """
 
 from __future__ import annotations
@@ -200,59 +201,6 @@ def inverse_residual(synth: BacksteppingSynthesis) -> float:
         return float(np.max(np.abs(p)))
 
 
-@dataclass(frozen=True)
-class ChiFunction:
-    """Closed-loop eigenfunction coefficients: chi_n[p] = b_p/(lambda_p - lambda_n + lambda)."""
-    n: int
-    coeffs: np.ndarray
-
-
-def chi(model: SpectrumModel, lam: float, n: int, N: int,
-        cert: DistCertificate | None = None) -> ChiFunction:
-    cert = _certify(model, lam, cert)
-    if not 1 <= n <= N:
-        raise ValueError("mode index out of range")
-    denom = model.eigenvalues[:N] - model.eigenvalue(n) + lam
-    return ChiFunction(n=n, coeffs=model.b[:N] / denom)
-
-
-@dataclass(frozen=True)
-class ClosedLoopCheck:
-    n: int
-    k_on_chi: float | complex
-    collinearity_defect: float
-    eigen_defect: float
-
-
-def verify_closed_loop_eigen(synth: BacksteppingSynthesis, n: int) -> ClosedLoopCheck:
-    """Diagnostics for chi_n: <K, chi_n> (expect -1), collinearity of T chi_n
-    with phi_n, and the eigenvector defect of A + BK at truncation."""
-    cf = chi(synth.model, synth.lam, n, synth.N, synth.cert)
-    v = cf.coeffs
-    k_on_chi = csum(synth.k * v)
-
-    tchi = synth.T_mat @ v
-    aligned = np.zeros_like(tchi)
-    aligned[n - 1] = tchi[n - 1]
-    norm_t = float(np.linalg.norm(tchi))
-    coll = float(np.linalg.norm(tchi - aligned)) / norm_t if norm_t else 0.0
-
-    lam_p = synth.eigenvalues
-    target = synth.model.eigenvalue(n) - synth.lam
-    resid = lam_p * v + synth.b * k_on_chi - target * v
-    eig = float(np.linalg.norm(resid)) / float(np.linalg.norm(v))
-    return ClosedLoopCheck(n=n, k_on_chi=k_on_chi, collinearity_defect=coll, eigen_defect=eig)
-
-
-def operator_identity_residual(synth: BacksteppingSynthesis) -> float:
-    """Relative max-norm defect of T (A + BK) = (A - lambda I) T at truncation."""
-    A = np.diag(synth.eigenvalues)
-    lhs = synth.T_mat @ (A + np.outer(synth.b, synth.k))
-    rhs = (A - synth.lam * np.eye(synth.N)) @ synth.T_mat
-    scale = float(np.max(np.abs(rhs))) or 1.0
-    return float(np.max(np.abs(lhs - rhs))) / scale
-
-
 # ---------------------------------------------------------------------------
 # operator norms
 
@@ -354,10 +302,6 @@ def weighted_norm(synth: BacksteppingSynthesis, mat: np.ndarray, s: float) -> fl
     |lambda_n| is the level ell_n."""
     w = synth.model.levels[:synth.N] ** s
     return spectral_norm(w[:, None] * mat * (1.0 / w)[None, :])
-
-
-def condition_number(synth: BacksteppingSynthesis) -> float:
-    return spectral_norm(synth.T_mat) * spectral_norm(synth.Tinv_mat)
 
 
 # ---------------------------------------------------------------------------

@@ -15,14 +15,13 @@ import pytest
 
 from backstep.cauchy import CauchySystem, build_cauchy, explicit_inverse
 from backstep.cli import main as cli_main
-from backstep.oracles import all_J, gain_cross_check, oracle_inverse
+from backstep.oracles import (all_J, condition_number, gain_cross_check, measure_decay,
+                              operator_identity_residual, oracle_inverse,
+                              verify_closed_loop_eigen)
 from backstep.quantitative import cost_sweep, linear_fit
-from backstep.simulate import (build_schedule, measure_decay, run_null_control,
-                               stage_synthesis, state)
+from backstep.simulate import build_schedule, run_null_control, stage_synthesis
 from backstep.spectrum import Kind, dist_alpha, make_spectrum, mu_candidates, select_mu
-from backstep.transform import (assemble, condition_number,
-                                operator_identity_residual,
-                                verify_closed_loop_eigen)
+from backstep.transform import assemble
 
 
 def _report(num, text, t0):
@@ -260,7 +259,7 @@ def test_c10_stability():
         cond = condition_number(synth)
         for _ in range(20):
             y = rng.standard_normal(N)
-            d = measure_decay(synth, state(y / np.linalg.norm(y)), grid)
+            d = measure_decay(synth, y / np.linalg.norm(y), grid)
             assert d.rate_hat <= -mu + 1e-6, (model.alpha, mu, d.rate_hat)
             assert d.C_hat <= cond * (1.0 + 1e-9)
             worst_rate = max(worst_rate, d.rate_hat + mu)
@@ -272,7 +271,7 @@ def test_c10_stability():
     cond = condition_number(synth)
     for _ in range(20):
         y = rng.standard_normal(32) + 1j * rng.standard_normal(32)
-        d = measure_decay(synth, state(y / np.linalg.norm(y)), grid)
+        d = measure_decay(synth, y / np.linalg.norm(y), grid)
         assert d.C_hat <= cond * (1.0 + 1e-9)
         worst_chat = max(worst_chat, d.C_hat / cond)
     _report(10, f"rate_hat <= -lambda + 1e-6 (worst slack {worst_rate:.2e}) and "
@@ -284,7 +283,7 @@ def test_c11_null_control(null_schedule):
     n = null_schedule.trunc
     y0 = np.zeros(n)
     y0[:2] = 1.0
-    rep = run_null_control(null_schedule, state(y0 / math.sqrt(2.0)),
+    rep = run_null_control(null_schedule, y0 / math.sqrt(2.0),
                            growth_c_hat=1.0, growth_C_hat=10.0)
     assert rep.final_ratio <= 1e-6, rep.final_ratio
     exps = [r.contraction_log for r in rep.records]
@@ -297,7 +296,7 @@ def test_c11_null_control(null_schedule):
     worst = 0.0
     for _ in range(10):
         y = rng.standard_normal(n)
-        r = run_null_control(null_schedule, state(y / np.linalg.norm(y)))
+        r = run_null_control(null_schedule, y / np.linalg.norm(y))
         worst = max(worst, r.final_ratio)
     assert worst <= 1e-6
     elapsed = time.monotonic() - t0

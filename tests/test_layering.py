@@ -2,8 +2,8 @@
 
 `backstep.oracles` holds the brute-force checks; only the CLI (for
 `cauchy-verify`) and the package root may import it, and no runtime module
-keeps a copy or an alias of what moved there.  The TB = B certification
-lives in `transform` alone.
+keeps a copy or an alias of what moved there, the closed-loop checks
+included.  The TB = B certification lives in `transform` alone.
 """
 
 import ast
@@ -16,7 +16,10 @@ MAY_IMPORT_ORACLES = {"cli.py", "__init__.py"}
 MOVED = ("oracle_inverse", "LogSignedProduct", "eval_J", "all_J",
          "bound_check_products", "bound_check_sums", "lower_bound_check_F",
          "ProductBoundReport", "SumBoundReport", "LowerBoundReport",
-         "factorization_residual", "gain_cross_check")
+         "factorization_residual", "gain_cross_check",
+         "chi", "verify_closed_loop_eigen", "ClosedLoopCheck",
+         "operator_identity_residual", "condition_number",
+         "measure_decay", "DecayReport")
 
 
 def _imports_oracles(tree: ast.AST) -> bool:
@@ -50,6 +53,20 @@ def test_moved_names_live_only_in_oracles():
     for mod in ("cauchy", "spectrum", "transform", "quantitative", "simulate"):
         module = importlib.import_module(f"backstep.{mod}")
         assert [name for name in MOVED if hasattr(module, name)] == [], mod
+
+
+DELETED = ("StateVector", "state", "norm_h", "norm_weighted", "ChiFunction")
+
+
+def test_deleted_names_stay_deleted():
+    """The state is a plain coefficient array and `chi` returns one: no module
+    keeps a wrapper type or a norm helper for it."""
+    for name in ["backstep"] + [f"backstep.{p.stem}" for p in SRC.glob("*.py")
+                                if p.stem != "__init__"]:
+        module = importlib.import_module(name)
+        assert [n for n in DELETED if hasattr(module, n)] == [], name
+    spectrum = importlib.import_module("backstep.spectrum")
+    assert not hasattr(spectrum.SpectrumModel, "eigenvalue")
 
 
 MAY_CALL_SVD = {"oracles.py"}

@@ -8,12 +8,12 @@ import pytest
 from backstep.cauchy import csum
 from backstep.cli import main as cli_main
 from backstep.errors import CertificationError, DivergenceError
-from backstep.simulate import (build_schedule, measure_decay, norm_h,
-                               norm_weighted, propagate, run_null_control,
-                               schedule_manifest_json, stage_synthesis, state,
+from backstep.oracles import chi, condition_number, measure_decay
+from backstep.simulate import (build_schedule, propagate, run_null_control,
+                               s_weights, schedule_manifest_json, stage_synthesis,
                                stage_truncation, trajectory, write_trajectory_csv)
 from backstep.spectrum import Kind, make_spectrum
-from backstep.transform import assemble, chi, condition_number
+from backstep.transform import assemble
 
 
 def heat(n_max=64, scale=1.0):
@@ -26,79 +26,79 @@ def synth32():
 
 
 def test_propagate_identity_at_zero(synth32):
-    y0 = state(np.eye(32)[0])
-    assert np.allclose(propagate(synth32, y0, 0.0).coeffs, y0.coeffs, atol=1e-14)
+    y0 = np.eye(32)[0]
+    assert np.allclose(propagate(synth32, y0, 0.0), y0, atol=1e-14)
 
 
 def test_propagate_semigroup(synth32):
     rng = np.random.default_rng(11)
-    y = state(rng.standard_normal(32))
+    y = rng.standard_normal(32)
     once = propagate(synth32, y, 1.1)
     twice = propagate(synth32, propagate(synth32, y, 0.7), 0.4)
-    rel = np.linalg.norm(once.coeffs - twice.coeffs) / np.linalg.norm(once.coeffs)
+    rel = np.linalg.norm(once - twice) / np.linalg.norm(once)
     assert rel <= 1e-10
 
 
 def test_propagate_eigen_trajectory(synth32):
     c1 = chi(heat(), 0.5, 1, 32)
-    y = propagate(synth32, state(c1.coeffs), 0.8)
-    expect = math.exp(-1.5 * 0.8) * c1.coeffs
-    assert np.linalg.norm(y.coeffs - expect) <= 1e-9 * np.linalg.norm(expect)
+    y = propagate(synth32, c1, 0.8)
+    expect = math.exp(-1.5 * 0.8) * c1
+    assert np.linalg.norm(y - expect) <= 1e-9 * np.linalg.norm(expect)
 
 
 def test_propagate_guards(synth32):
     with pytest.raises(ValueError):
-        propagate(synth32, state(np.zeros(5)), 1.0)
+        propagate(synth32, np.zeros(5), 1.0)
     with pytest.raises(ValueError):
-        propagate(synth32, state(np.zeros(32)), -1.0)
+        propagate(synth32, np.zeros(32), -1.0)
 
 
 def test_slowest_mode_scaling(synth32):
     # slowest closed-loop mode is lambda_1 - lambda = -1.5
-    y0 = state(np.eye(32)[0])
-    vals = [norm_h(propagate(synth32, y0, t)) * math.exp(1.5 * t) for t in (4.0, 8.0, 12.0)]
+    y0 = np.eye(32)[0]
+    vals = [np.linalg.norm(propagate(synth32, y0, t)) * math.exp(1.5 * t) for t in (4.0, 8.0, 12.0)]
     assert vals[1] == pytest.approx(vals[2], rel=1e-9)
 
 
-def control_signal(synth, sv, t):
+def control_signal(synth, y, t):
     """u(t) = sum_n k_n <y(t), phi_n>, as the CLI and the schedule compute it."""
-    return csum(synth.k * propagate(synth, sv, t).coeffs)
+    return csum(synth.k * propagate(synth, y, t))
 
 
 def test_control_signal(synth32):
     c1 = chi(heat(), 0.5, 1, 32)
-    u = control_signal(synth32, state(c1.coeffs), 0.8)
+    u = control_signal(synth32, c1, 0.8)
     assert u == pytest.approx(-math.exp(-1.5 * 0.8), rel=1e-10)
-    assert control_signal(synth32, state(np.zeros(32)), 1.0) == 0.0
+    assert control_signal(synth32, np.zeros(32), 1.0) == 0.0
     s2 = assemble(heat(), 0.5, 2)
-    assert control_signal(s2, state(np.eye(2)[0]), 0.0) == pytest.approx(-7 / 12, rel=1e-12)
+    assert control_signal(s2, np.eye(2)[0], 0.0) == pytest.approx(-7 / 12, rel=1e-12)
 
 
 def test_measure_decay(synth32):
     grid = np.linspace(0.0, 10.0, 21)
-    d = measure_decay(synth32, state(np.eye(32)[0]), grid)
+    d = measure_decay(synth32, np.eye(32)[0], grid)
     assert d.rate_hat == pytest.approx(-1.5, abs=1e-3)
     assert d.rate_hat <= -0.5 + 1e-6
     rng = np.random.default_rng(2)
     cond = condition_number(synth32)
     for _ in range(5):
         y = rng.standard_normal(32)
-        d = measure_decay(synth32, state(y / np.linalg.norm(y)), grid)
+        d = measure_decay(synth32, y / np.linalg.norm(y), grid)
         assert d.C_hat <= cond * (1.0 + 1e-9)
         assert d.rate_hat <= -0.5 + 1e-6
-    z = measure_decay(synth32, state(np.zeros(32)), grid)
+    z = measure_decay(synth32, np.zeros(32), grid)
     assert z.C_hat == 0.0 and z.rate_hat is None
     with pytest.raises(ValueError):
-        measure_decay(synth32, state(np.zeros(32)), [1.0, 0.5])
+        measure_decay(synth32, np.zeros(32), [1.0, 0.5])
 
 
 def test_norms():
     m = heat(8)
-    sv = state([3.0, 4.0, 0, 0, 0, 0, 0, 0], s=0.5)
-    assert norm_h(sv) == 5.0
+    y = np.array([3.0, 4.0, 0, 0, 0, 0, 0, 0])
+    assert np.linalg.norm(y) == 5.0
     # sqrt(|l_1| * 9 + |l_2| * 16) = sqrt(9 + 64)
-    assert norm_weighted(sv, m) == pytest.approx(math.sqrt(73.0))
-    assert norm_weighted(state(sv.coeffs, 0.0), m) == 5.0
+    assert np.linalg.norm(s_weights(m, 8, 0.5) * y) == pytest.approx(math.sqrt(73.0))
+    assert np.linalg.norm(s_weights(m, 8, 0.0) * y) == 5.0
 
 
 def test_schedule_preconditions():
@@ -138,14 +138,14 @@ def test_null_control_run():
     sch = build_schedule(m, 1.0, 3.0, 2.5, 4, trunc=48)
     y0 = np.zeros(sch.trunc)
     y0[:2] = 1.0
-    rep = run_null_control(sch, state(y0 / np.linalg.norm(y0)))
+    rep = run_null_control(sch, y0 / np.linalg.norm(y0))
     assert rep.final_ratio <= 1e-4
     assert all(r.contraction_log < 0 for r in rep.records)
-    zero = run_null_control(sch, state(np.zeros(sch.trunc)))
+    zero = run_null_control(sch, np.zeros(sch.trunc))
     assert zero.final_ratio == 0.0
     assert all(r.norm_out == 0.0 for r in zero.records)
     with pytest.raises(ValueError):
-        run_null_control(sch, state(np.zeros(3)))
+        run_null_control(sch, np.zeros(3))
 
 
 def test_null_control_divergence_alarm():
@@ -155,8 +155,8 @@ def test_null_control_divergence_alarm():
     y0[0] = 1.0
     # any real run violates a zero-growth certificate with a tiny prefactor
     with pytest.raises(DivergenceError):
-        run_null_control(sch, state(y0), growth_c_hat=0.0, growth_C_hat=1e-9)
-    rep = run_null_control(sch, state(y0), growth_c_hat=1.0, growth_C_hat=10.0)
+        run_null_control(sch, y0, growth_c_hat=0.0, growth_C_hat=1e-9)
+    rep = run_null_control(sch, y0, growth_c_hat=1.0, growth_C_hat=10.0)
     assert rep.final_ratio < 1.0
 
 
@@ -167,7 +167,7 @@ def test_schedule_rejects_stage_past_tb_bound():
     assert max(stage_synthesis(sch, st).tb_residual_max for st in sch.stages) <= 1e-9
     sch = build_schedule(m, 1.0, 3.0, 2.5, 12, trunc=48)
     with pytest.raises(CertificationError, match=r"stage 11 \(lambda 1343\.7.*TB=B residual 1\.5"):
-        run_null_control(sch, state(np.eye(sch.trunc)[0]))
+        run_null_control(sch, np.eye(sch.trunc)[0])
 
 
 def test_trajectory_csv_and_manifest(tmp_path):
@@ -175,7 +175,7 @@ def test_trajectory_csv_and_manifest(tmp_path):
     sch = build_schedule(m, 1.0, 3.0, 2.5, 2, trunc=48)
     y0 = np.zeros(sch.trunc)
     y0[0] = 1.0
-    rep = run_null_control(sch, state(y0, s=0.25), samples_per_stage=4)
+    rep = run_null_control(sch, y0, s_weight=0.25, samples_per_stage=4)
     path = tmp_path / "traj.csv"
     write_trajectory_csv(rep.samples, path)
     lines = path.read_text().splitlines()
@@ -198,12 +198,12 @@ def test_propagator_operator_norm_bound(synth32):
 
 
 def test_self_adjoint_propagation_is_real(synth32):
-    assert chi(heat(), 0.5, 3, 32).coeffs.dtype == np.float64
+    assert chi(heat(), 0.5, 3, 32).dtype == np.float64
     assert (synth32.eigenvalues - synth32.lam).dtype == np.float64
-    y = state(np.random.default_rng(3).standard_normal(32))
-    assert propagate(synth32, y, 0.7).coeffs.dtype == np.float64
+    y = np.random.default_rng(3).standard_normal(32)
+    assert propagate(synth32, y, 0.7).dtype == np.float64
     sk = assemble(make_spectrum(Kind.SKEW_ADJOINT, 2.0, 1.0, 64), 1.5, 32)
-    assert propagate(sk, y, 0.7).coeffs.dtype == np.complex128
+    assert propagate(sk, y, 0.7).dtype == np.complex128
 
 
 def test_null_control_per_stage_certified_bound():
@@ -212,7 +212,7 @@ def test_null_control_per_stage_certified_bound():
     sch = build_schedule(m, 1.0, 3.0, 2.5, 5, trunc=48)
     y0 = np.zeros(sch.trunc)
     y0[:2] = 1.0
-    rep = run_null_control(sch, state(y0 / np.linalg.norm(y0)))
+    rep = run_null_control(sch, y0 / np.linalg.norm(y0))
     for st, rec in zip(sch.stages, rep.records):
         limit = condition_number(stage_synthesis(sch, st)) * math.exp(-st.lam * st.delta)
         assert rec.norm_out <= limit * rec.norm_in * (1.0 + 1e-9)
@@ -250,11 +250,11 @@ def test_trajectory_bits_match_per_time_formula(kind, s, tmp_path):
     ts = [0.0, 0.01, 0.3, 0.3, 1.7, 6.0]
     for t, got in zip(ts, trajectory(synth, y, ts)):
         assert got.tobytes() == _per_time_state(synth, y, t).tobytes()
-    assert propagate(synth, state(y), 1.7).coeffs.tobytes() == _per_time_state(synth, y, 1.7).tobytes()
+    assert propagate(synth, y, 1.7).tobytes() == _per_time_state(synth, y, 1.7).tobytes()
 
     sch = build_schedule(make_spectrum(kind, 2.0, 32.0, 128), 1.0, 3.0, 2.5, 4, trunc=48)
     y0 = np.random.default_rng(6).standard_normal(sch.trunc)
-    rep = run_null_control(sch, state(y0 / np.linalg.norm(y0), s=s))
+    rep = run_null_control(sch, y0 / np.linalg.norm(y0), s_weight=s)
     assert list(rep.samples) == _reference_samples(sch, y0 / np.linalg.norm(y0), s)
 
     out = tmp_path / "traj.csv"
@@ -288,7 +288,7 @@ def _schedule_peak_bytes(model, n_stages):
         sch = build_schedule(model, 1.0, 3.0, 2.5, n_stages, trunc=128)
         y0 = np.zeros(sch.trunc)
         y0[:2] = 1.0
-        run_null_control(sch, state(y0 / np.linalg.norm(y0)))
+        run_null_control(sch, y0 / np.linalg.norm(y0))
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

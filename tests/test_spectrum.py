@@ -48,7 +48,6 @@ def test_default_eigenvalues():
     m = heat(4)
     assert m.eigenvalues.dtype == np.float64
     assert np.array_equal(m.eigenvalues, [-1.0, -4.0, -9.0, -16.0])
-    assert type(m.eigenvalue(2)) is float and m.eigenvalue(5) == -25.0
     sk = make_spectrum("skew_adjoint", 2.0, 1.0, 3)
     assert sk.eigenvalues.dtype == np.complex128
     assert np.array_equal(sk.eigenvalues, np.array([-1j, -4j, -9j]))

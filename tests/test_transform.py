@@ -10,14 +10,13 @@ from hypothesis import given, settings, strategies as st
 from backstep import transform
 from backstep.cauchy import CauchySystem, build_cauchy, explicit_inverse, lagrange_products
 from backstep.errors import CertificationError, GainFloorError, MathGuardError, ResonanceError
-from backstep.oracles import factorization_residual, gain_cross_check
+from backstep.oracles import (chi, condition_number, factorization_residual,
+                              gain_cross_check, operator_identity_residual,
+                              verify_closed_loop_eigen)
 from backstep.spectrum import (DistCertificate, Kind, dist_alpha, make_spectrum,
                                make_tabulated, select_mu)
-from backstep.transform import (assemble, chi, condition_number,
-                                feedback_gains_product, feedback_gains_rowsum,
-                                inverse_residual,
-                                operator_identity_residual, spectral_norm,
-                                synthesis_to_json, verify_closed_loop_eigen,
+from backstep.transform import (assemble, feedback_gains_product, feedback_gains_rowsum,
+                                inverse_residual, spectral_norm, synthesis_to_json,
                                 weighted_norm)
 
 
@@ -154,12 +153,21 @@ def test_assemble_column_product_overflow_guard():
 
 def test_chi_examples():
     m = heat()
-    assert np.allclose(chi(m, 0.5, 1, 2).coeffs, [2.0, -0.4])
-    assert chi(m, 0.5, 2, 4).coeffs[1] == pytest.approx(2.0)
+    assert np.allclose(chi(m, 0.5, 1, 2), [2.0, -0.4])
+    assert chi(m, 0.5, 2, 4)[1] == pytest.approx(2.0)
     sk = make_spectrum(Kind.SKEW_ADJOINT, 2.0, 1.0, 4)
-    assert np.allclose(chi(sk, 1.0, 1, 1).coeffs, [1.0])
+    assert np.allclose(chi(sk, 1.0, 1, 1), [1.0])
     with pytest.raises(ResonanceError):
         chi(m, 3.0, 1, 4)
+
+
+def test_chi_index_range():
+    # a truncation past the model's 8 modes used to return 8 entries, not N
+    m = make_spectrum(Kind.SELF_ADJOINT, 2.0, 1.0, 8)
+    assert chi(m, 0.5, 8, 8).shape == (8,)
+    for n, N in ((0, 4), (5, 4), (1, 12), (9, 9)):
+        with pytest.raises(ValueError, match="1 <= n <= N <= 8"):
+            chi(m, 0.5, n, N)
 
 
 def test_closed_loop_2x2_exact():
