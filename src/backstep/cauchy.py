@@ -199,42 +199,6 @@ def explicit_inverse(sys: CauchySystem) -> np.ndarray:
     return p[:, None] * build_cauchy(sys).T * (sgn_q * np.exp(log_q))[None, :]
 
 
-def tail_log_bound(model: SpectrumModel, i: int, lam: float, N: int) -> float:
-    """Certified bound on |sum_{m>N} log(1 +- lambda/(lambda_i - lambda_m))|.
-
-    Majorant: each term is at most 2 lambda / (c |i-m| m^(alpha-1)); the series
-    is summed explicitly up to M = max(N, 2i) and closed with the integral
-    bound 4 lambda / (c (alpha-1) M^(alpha-1)).  Requires the truncation to be
-    past the threshold N > (10 lambda / c)^(1/(alpha-1)) so every dropped
-    factor is within 10% of 1.
-    """
-    if lam < 0:
-        raise ValueError("lambda must be nonnegative")
-    if not 1 <= i <= N:
-        raise ValueError("row index must satisfy 1 <= i <= N")
-    c, alpha = model.gap_c, model.alpha
-    threshold = (10.0 * lam / c) ** (1.0 / (alpha - 1.0))
-    if N <= threshold:
-        raise ValueError(f"N={N} below tail threshold {threshold}")
-    if lam == 0.0:
-        return 0.0
-    M = max(2 * i, N)
-    m = np.arange(N + 1, M + 1, dtype=float)
-    head = float(np.sum(2.0 * lam / (c * (m - i) * m ** (alpha - 1.0)))) if m.size else 0.0
-    tail = 4.0 * lam / (c * (alpha - 1.0) * float(M) ** (alpha - 1.0))
-    return head + tail
-
-
-def truncation_entry_bar(model: SpectrumModel, lam: float, N: int) -> float:
-    """Relative error bar exp(b_P + b_Q) - 1 of a truncated inverse entry.
-
-    Both Lagrange products drop the same tail family; the worst row index is
-    i = N, so twice that bound dominates any entry of the N-truncation.
-    """
-    b = tail_log_bound(model, N, lam, N)
-    return math.expm1(2.0 * b)
-
-
 # ---------------------------------------------------------------------------
 # scalar output format (17 significant digits, complex as "re+imi" literals)
 

@@ -23,12 +23,14 @@ from .spectrum import Kind, SpectrumModel, dist_alpha
 from .simulate import trajectory
 from .transform import BacksteppingSynthesis, _certify, _term_relerr, spectral_norm
 
+_PIVOT_RTOL = 1e-12   # oracle_inverse's singularity bar, relative to the row's max
 
-def oracle_inverse(mat: np.ndarray, pivot_rtol: float = 1e-12) -> np.ndarray:
+
+def oracle_inverse(mat: np.ndarray) -> np.ndarray:
     """Dense inverse by Gaussian elimination with partial pivoting.
 
     Brute-force oracle, independent of the product formula; intended for
-    N <= 256.  Pivots below pivot_rtol times the pivot row's original max
+    N <= 256.  Pivots below _PIVOT_RTOL times the pivot row's original max
     norm raise SingularMatrixError.  Error: column j solves (A + dA_j) x = e_j
     with |dA_j| <= gamma_{3N} P^T |L| |U| (Higham 2002, Thm 9.4), so about
     3 N u rho_N cond(A) relative, rho_N the growth factor.
@@ -41,7 +43,7 @@ def oracle_inverse(mat: np.ndarray, pivot_rtol: float = 1e-12) -> np.ndarray:
     piv = np.arange(n)
     for k in range(n):
         p = k + int(np.argmax(np.abs(a[k:, k])))
-        if np.abs(a[p, k]) < pivot_rtol * max(row_scale[piv[p]], 1e-300):
+        if np.abs(a[p, k]) < _PIVOT_RTOL * max(row_scale[piv[p]], 1e-300):
             raise SingularMatrixError(f"pivot {abs(a[p, k])} at step {k} below tolerance")
         if p != k:
             a[[k, p]] = a[[p, k]]
@@ -207,8 +209,7 @@ class LowerBoundReport:
     passed: bool
 
 
-def lower_bound_check_F(model: SpectrumModel, mu_sequence, N: int,
-                        n_probe: int | None = None) -> LowerBoundReport:
+def lower_bound_check_F(model: SpectrumModel, mu_sequence, N: int) -> LowerBoundReport:
     """Envelope check of |F_n| >= Dist * C exp(-c lambda^(1/alpha)).
 
     Fits the envelope of min_n log|F_n / dist| against -lambda^(1/alpha);
@@ -221,9 +222,8 @@ def lower_bound_check_F(model: SpectrumModel, mu_sequence, N: int,
     for mu in mu_sequence:
         mu = float(mu)
         cert = dist_alpha(model, mu).require_nonresonant()
-        depth = probe_depth(mu, model.alpha, N) if n_probe is None else min(n_probe, N)
         log_f = lagrange_products(CauchySystem.from_model(model, mu, N))[0]
-        m = float(np.min(log_f[:depth]))
+        m = float(np.min(log_f[:probe_depth(mu, model.alpha, N)]))
         if model.kind is Kind.SKEW_ADJOINT and m < -1e-12:
             skew_ok = False
         pts.append((mu, cert.dist, m))

@@ -12,6 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .cauchy import format_scalar as fmt
 from .errors import MathGuardError
 from .spectrum import SpectrumModel, select_mu
 from .transform import assemble, spectral_norm
@@ -110,7 +111,6 @@ def cost_sweep(model: SpectrumModel, bases, trunc: int) -> SweepResult:
 
 def sweep_to_csv(result: SweepResult, path) -> None:
     """Header row, one row per point, '#'-prefixed fit footer."""
-    from .cauchy import format_scalar as fmt
     lines = ["N,lambda,dist,norm_T,norm_Tinv,k_sup,k_inf,F_inf,fit_exponent"]
     for p in result.points:
         fit = "" if p.fitted_exponent is None else fmt(p.fitted_exponent)

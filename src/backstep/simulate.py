@@ -35,6 +35,8 @@ from .errors import DivergenceError, MathGuardError
 from .spectrum import DistCertificate, SpectrumModel, select_mu
 from .transform import BacksteppingSynthesis, assemble
 
+_SAMPLES_PER_STAGE = 16   # trajectory rows per stage of a null-control run
+
 
 def s_weights(model: SpectrumModel, n: int, s: float) -> np.ndarray:
     """|lambda_j|^s for j <= n, the weights of the s-norm; |lambda_j| is the
@@ -81,7 +83,6 @@ def trajectory_row(synth: BacksteppingSynthesis, weights: np.ndarray, t: float,
 @dataclass(frozen=True)
 class Stage:
     index: int
-    base: int               # integer ceil(index^gamma) fed to the mu selection
     lam: float
     cert: DistCertificate   # what `stage_synthesis` assembles with
     delta: float
@@ -130,22 +131,22 @@ def build_schedule(model: SpectrumModel, horizon: float, gamma: float, sigma: fl
             lam, cert = select_mu(model, base)
         except MathGuardError as exc:
             raise type(exc)(f"stage {k} (base {base}): {exc}") from exc
-        picks.append((k, base, lam, cert))
+        picks.append((k, lam, cert))
 
     ratio = gamma / sigma
-    partial = math.fsum(lam ** (-1.0 / sigma) for _, _, lam, _ in picks)
+    partial = math.fsum(lam ** (-1.0 / sigma) for _, lam, _ in picks)
     tail = n_stages ** (1.0 - ratio) / (ratio - 1.0)   # integral bound, lambda(p) >= p^gamma
     L_sigma = partial + tail
 
-    trunc_all = stage_truncation(trunc, picks[-1][2], alpha)
+    trunc_all = stage_truncation(trunc, picks[-1][1], alpha)
     if model.n_max < trunc_all:
         raise ValueError(f"model materializes {model.n_max} modes; schedule needs {trunc_all}")
 
     stages = []
     t = 0.0
-    for k, base, lam, cert in picks:
+    for k, lam, cert in picks:
         delta = (horizon / L_sigma) * lam ** (-1.0 / sigma)
-        stages.append(Stage(index=k, base=base, lam=lam, cert=cert, delta=delta,
+        stages.append(Stage(index=k, lam=lam, cert=cert, delta=delta,
                             t_start=t, t_end=t + delta))
         t += delta
     return NullControlSchedule(model=model, horizon=horizon, gamma=gamma, sigma=sigma,
@@ -167,9 +168,7 @@ def stage_synthesis(schedule: NullControlSchedule, st: Stage) -> BacksteppingSyn
 
 @dataclass(frozen=True)
 class StageRecord:
-    index: int
-    lam: float
-    delta: float
+    """What one stage did to the state; `records[i]` belongs to `schedule.stages[i]`."""
     norm_in: float
     norm_out: float
     norm_out_weighted: float
@@ -181,15 +180,14 @@ class StageRecord:
 class NullControlReport:
     records: tuple[StageRecord, ...]
     final_ratio: float
-    final_ratio_weighted: float
     samples: tuple[tuple[float, float, float, float | complex], ...]   # trajectory rows
 
 
 def run_null_control(schedule: NullControlSchedule, y0: np.ndarray, s_weight: float = 0.0,
-                     samples_per_stage: int = 16,
                      growth_c_hat: float | None = None,
                      growth_C_hat: float = 10.0) -> NullControlReport:
-    """Drive `y0` through every stage, recording the H and s-norms and the control size.
+    """Drive `y0` through every stage, recording the H and s-norms and the control size
+    at `_SAMPLES_PER_STAGE` evenly spaced times per stage.
 
     Each stage's synthesis is assembled when the state reaches it and dropped
     after it, so a stage's guard (see `stage_synthesis`) fires here.  With
@@ -208,7 +206,7 @@ def run_null_control(schedule: NullControlSchedule, y0: np.ndarray, s_weight: fl
         synth = stage_synthesis(schedule, st)
         n_in = float(np.linalg.norm(y))
         max_u = 0.0
-        taus = [st.delta * q / samples_per_stage for q in range(samples_per_stage)]
+        taus = [st.delta * q / _SAMPLES_PER_STAGE for q in range(_SAMPLES_PER_STAGE)]
         states = trajectory(synth, y, taus + [st.delta])
         for tau, y_t in zip(taus, states):
             samples.append(trajectory_row(synth, weights, st.t_start + tau, y_t))
@@ -222,20 +220,17 @@ def run_null_control(schedule: NullControlSchedule, y0: np.ndarray, s_weight: fl
                     f"stage {st.index} grew the norm by {n_out / n_in}, beyond the certified "
                     f"factor {limit}")
         contraction = math.log(n_out / n_in) if n_in > 0 and n_out > 0 else float("-inf")
-        records.append(StageRecord(index=st.index, lam=st.lam, delta=st.delta,
-                                   norm_in=n_in, norm_out=n_out,
+        records.append(StageRecord(norm_in=n_in, norm_out=n_out,
                                    norm_out_weighted=float(np.linalg.norm(weights * y)),
                                    contraction_log=contraction, max_u=max_u))
         # release this stage's matrices before the next stage is assembled
         del synth, states
-    n_end, ns_end = float(np.linalg.norm(y)), float(np.linalg.norm(weights * y))
-    samples.append((schedule.t_end, n_end, ns_end, 0.0 + 0.0j))
-    n_0, ns_0 = float(np.linalg.norm(y0)), float(np.linalg.norm(weights * y0))
-    return NullControlReport(
-        records=tuple(records),
-        final_ratio=n_end / n_0 if n_0 > 0 else 0.0,
-        final_ratio_weighted=ns_end / ns_0 if ns_0 > 0 else 0.0,
-        samples=tuple(samples))
+    n_end = float(np.linalg.norm(y))
+    samples.append((schedule.t_end, n_end, float(np.linalg.norm(weights * y)), 0.0 + 0.0j))
+    n_0 = float(np.linalg.norm(y0))
+    return NullControlReport(records=tuple(records),
+                             final_ratio=n_end / n_0 if n_0 > 0 else 0.0,
+                             samples=tuple(samples))
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 A model holds the first ``n_max`` eigenvalues of a diagonal self-adjoint or
 skew-adjoint operator together with the control coefficients ``b_n`` and the
-gap constants used by every downstream bound.  Either kind is described by a
+gap constant used by every downstream bound.  Either kind is described by a
 positive, strictly increasing "level" sequence ``ell_n``:
 
     self-adjoint:  lambda_n = -ell_n        (real, negative, decreasing)
@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import CertificationError
+from .errors import CertificationError, ResonanceError
 
 # dist_alpha and mu_candidates refuse to go past this many indices
 DEFAULT_INDEX_LIMIT = 2_000_000
@@ -42,7 +42,6 @@ class SpectrumModel:
     b: np.ndarray                # shape (n_max,), real, bounded away from 0
     levels: np.ndarray           # shape (n_max,), positive strictly increasing
     gap_c: float                 # lower gap constant (certified for all pairs)
-    gap_C: float                 # upper constant of the consecutive-gap estimate
     tabulated: bool = False
 
     @property
@@ -70,10 +69,9 @@ def make_spectrum(kind: Kind | str,
                   b_law: Callable[[int], float] | Sequence[float] | None = None) -> SpectrumModel:
     """Build the default power-law model ``ell_n = scale * n**alpha``.
 
-    The gap constants are exact for this law: ``|ell_k - ell_n| >=
+    The gap constant is exact for this law: ``|ell_k - ell_n| >=
     scale * max(k,n)**(alpha-1) * |k-n|`` holds for all pairs with the sharp
-    constant ``scale`` (equality is approached as n=1, k -> infinity), and the
-    consecutive gap is at most ``scale * (2**alpha - 1) * n**(alpha-1)``.
+    constant ``scale`` (equality is approached as n=1, k -> infinity).
     """
     kind = Kind(kind)
     if not 1 < alpha < math.inf:
@@ -87,20 +85,19 @@ def make_spectrum(kind: Kind | str,
     levels = scale * n ** alpha
     b = _materialize_b(b_law, n_max)
     return SpectrumModel(kind=kind, alpha=float(alpha), scale=float(scale), n_max=n_max,
-                         b=b, levels=levels,
-                         gap_c=float(scale), gap_C=float(scale * (2.0 ** alpha - 1.0)))
+                         b=b, levels=levels, gap_c=float(scale))
 
 
 def make_tabulated(kind: Kind | str,
                    alpha: float,
                    eigenvalues: Sequence[complex],
                    b: Sequence[float] | None = None) -> SpectrumModel:
-    """Wrap a user-supplied eigenvalue table; gap constants are empirical.
+    """Wrap a user-supplied eigenvalue table; the gap constant is empirical.
 
     gap_c is the smaller of the `verify_gaps` consecutive_lower and pairwise
-    constants, gap_C its consecutive_upper constant.  Degenerate tables
-    (repeated eigenvalues) are accepted here and flagged by `verify_gaps`;
-    certified operations will refuse to run on gap_c == 0.
+    constants.  Degenerate tables (repeated eigenvalues) are accepted here and
+    flagged by `verify_gaps`; certified operations will refuse to run on
+    gap_c == 0.
     """
     kind = Kind(kind)
     if not 1 < alpha < math.inf:
@@ -120,12 +117,10 @@ def make_tabulated(kind: Kind | str,
     b_arr = _materialize_b(b, n_max)
     model = SpectrumModel(kind=kind, alpha=float(alpha), scale=float("nan"), n_max=n_max,
                           b=b_arr, levels=np.asarray(levels, dtype=float),
-                          gap_c=math.nan, gap_C=math.nan, tabulated=True)
+                          gap_c=math.nan, tabulated=True)
     report = verify_gaps(model)
-    return replace(model,
-                   gap_c=min(report.condition("consecutive_lower").constant,
-                             report.condition("pairwise").constant),
-                   gap_C=report.condition("consecutive_upper").constant)
+    return replace(model, gap_c=min(report.condition("consecutive_lower").constant,
+                                    report.condition("pairwise").constant))
 
 
 def _materialize_b(b_law, n_max: int) -> np.ndarray:
@@ -245,7 +240,6 @@ class DistCertificate:
     floor: float | None = None
 
     def require_nonresonant(self) -> "DistCertificate":
-        from .errors import ResonanceError
         if self.dist <= 0.0:
             raise ResonanceError(
                 f"lambda={self.lam!r} is resonant: eigenvalue-difference witness {self.witness_pair}")

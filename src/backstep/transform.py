@@ -42,9 +42,8 @@ _TB_TOL = 1e-9        # acceptance bound on every synthesis's TB = B residual
 class GainEstimate:
     """Feedback gains with per-entry roundoff bars.
 
-    `roundoff` bounds the floating-point error of each k_n at this truncation.
-    The distance to the infinite gains is not part of it: `cauchy.tail_log_bound`
-    gives that on request.
+    `roundoff` bounds the floating-point error of each k_n at this truncation;
+    the distance to the infinite gains is not part of it.
     """
     values: np.ndarray
     roundoff: np.ndarray
@@ -130,7 +129,6 @@ class BacksteppingSynthesis:
     cert: DistCertificate
     b: np.ndarray
     k: np.ndarray
-    kb: np.ndarray
     T_mat: np.ndarray
     Tinv_mat: np.ndarray
     tb_residuals: np.ndarray
@@ -180,7 +178,7 @@ def assemble(model: SpectrumModel, lam: float, N: int,
     # a reciprocal product, not a division: see cauchy.lagrange_products
     Tinv = (-lam * b)[:, None] * cmat.T * (q * (1.0 / b))[None, :]
     synth = BacksteppingSynthesis(model=model, lam=float(lam), N=N, cert=cert,
-                                  b=b, k=k, kb=kb, T_mat=T, Tinv_mat=Tinv,
+                                  b=b, k=k, T_mat=T, Tinv_mat=Tinv,
                                   tb_residuals=_tb_residuals(cmat, kb), log_f=log_p)
     resid = inverse_residual(synth)
     if not math.isfinite(resid):

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from backstep.cauchy import (CauchySystem, build_cauchy, csum, explicit_inverse,
-                             format_scalar, lagrange_products, tail_log_bound,
-                             truncation_entry_bar)
+                             format_scalar, lagrange_products)
 from backstep.errors import ResonanceError, SingularMatrixError
 from backstep.oracles import LogSignedProduct, oracle_inverse
 from backstep.spectrum import Kind, dist_alpha, make_spectrum, make_tabulated
@@ -112,41 +111,6 @@ def test_logsigned_zero_and_composition():
     # overflow-proof: 400 factors of 100 is far past float range
     big = LogSignedProduct.from_factors([100.0] * 400)
     assert big.log_magnitude == pytest.approx(400 * math.log(100.0))
-
-
-def test_tail_bound_example():
-    m = heat(128)
-    b = tail_log_bound(m, 1, 1.0, 100)
-    assert b <= 0.09
-    # direct summation of the majorant series to convergence
-    idx = np.arange(101, 400_001, dtype=float)
-    direct = float(np.sum(2.0 * 1.0 / ((idx - 1) * idx)))
-    assert direct <= b
-
-
-def test_tail_bound_scaling_and_guards():
-    m = heat(128)
-    b1 = tail_log_bound(m, 1, 1e-3, 100)
-    b2 = tail_log_bound(m, 1, 2e-3, 100)
-    assert b2 == pytest.approx(2 * b1)        # linear in lambda
-    assert tail_log_bound(m, 1, 0.0, 100) == 0.0
-    with pytest.raises(ValueError, match="threshold"):
-        tail_log_bound(m, 1, 1000.0, 5)
-    with pytest.raises(ValueError):
-        tail_log_bound(m, 101, 1.0, 100)
-    assert truncation_entry_bar(m, 1.0, 100) >= math.expm1(2 * tail_log_bound(m, 100, 1.0, 100)) - 1e-15
-
-
-def test_truncation_bar_certifies_deeper_truncations():
-    # the N-truncated gain product must sit within the bar of the 2N one
-    m = heat(256)
-    lam = 1.375
-    for N in (32, 64):
-        a = explicit_inverse(CauchySystem.from_model(m, lam, N))
-        b = explicit_inverse(CauchySystem.from_model(m, lam, 2 * N))
-        bar = truncation_entry_bar(m, lam, N)
-        rel = np.max(np.abs(a - b[:N, :N]) / np.abs(b[:N, :N]))
-        assert rel <= bar
 
 
 def test_csum_exact():

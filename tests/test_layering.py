@@ -1,18 +1,25 @@
 """The reference layer stays out of the runtime modules.
 
 `backstep.oracles` holds the brute-force checks; only the CLI (for
-`cauchy-verify`) and the package root may import it, and no runtime module
-keeps a copy or an alias of what moved there, the closed-loop checks
-included.  The TB = B certification lives in `transform` alone.
+`cauchy-verify`) may import it, so `import backstep` does not load it, and
+neither the package root nor a runtime module keeps a copy or an alias of
+what lives there, the closed-loop checks included.  The TB = B certification
+lives in `transform` alone.  Names, fields and parameters that no command
+reads stay deleted.
 """
 
 import ast
+import dataclasses
 import importlib
+import inspect
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "backstep"
-MAY_IMPORT_ORACLES = {"cli.py", "__init__.py"}
+MAY_IMPORT_ORACLES = {"cli.py"}
 MOVED = ("oracle_inverse", "LogSignedProduct", "eval_J", "all_J",
          "bound_check_products", "bound_check_sums", "lower_bound_check_F",
          "ProductBoundReport", "SumBoundReport", "LowerBoundReport",
@@ -55,18 +62,61 @@ def test_moved_names_live_only_in_oracles():
         assert [name for name in MOVED if hasattr(module, name)] == [], mod
 
 
-DELETED = ("StateVector", "state", "norm_h", "norm_weighted", "ChiFunction")
+DELETED = ("StateVector", "state", "norm_h", "norm_weighted", "ChiFunction",
+           "tail_log_bound", "truncation_entry_bar")
+# the oracles the package root used to re-export; they live in `oracles` alone
+ROOT_DELETED = ("LogSignedProduct", "all_J", "bound_check_products", "bound_check_sums",
+                "chi", "condition_number", "eval_J", "factorization_residual",
+                "gain_cross_check", "lower_bound_check_F", "measure_decay",
+                "operator_identity_residual", "oracle_inverse", "verify_closed_loop_eigen")
 
 
 def test_deleted_names_stay_deleted():
     """The state is a plain coefficient array and `chi` returns one: no module
-    keeps a wrapper type or a norm helper for it."""
+    keeps a wrapper type or a norm helper for it.  The one-sided truncation
+    tail majorants are gone everywhere, and the root re-exports no oracle."""
     for name in ["backstep"] + [f"backstep.{p.stem}" for p in SRC.glob("*.py")
                                 if p.stem != "__init__"]:
         module = importlib.import_module(name)
         assert [n for n in DELETED if hasattr(module, n)] == [], name
     spectrum = importlib.import_module("backstep.spectrum")
     assert not hasattr(spectrum.SpectrumModel, "eigenvalue")
+    oracles = importlib.import_module("backstep.oracles")
+    assert all(hasattr(oracles, n) for n in ROOT_DELETED)
+    root = importlib.import_module("backstep")
+    assert [n for n in ROOT_DELETED if hasattr(root, n)] == []
+
+
+# fields that copied another field or that nothing read
+DELETED_FIELDS = (("spectrum", "SpectrumModel", ("gap_C",)),
+                  ("transform", "BacksteppingSynthesis", ("kb",)),
+                  ("simulate", "Stage", ("base",)),
+                  ("simulate", "StageRecord", ("index", "lam", "delta")),
+                  ("simulate", "NullControlReport", ("final_ratio_weighted",)))
+# parameters that every caller gave one value
+DELETED_PARAMS = (("simulate", "run_null_control", "samples_per_stage"),
+                  ("oracles", "oracle_inverse", "pivot_rtol"),
+                  ("oracles", "lower_bound_check_F", "n_probe"))
+
+
+def test_deleted_fields_and_parameters_stay_deleted():
+    for mod, cls, gone in DELETED_FIELDS:
+        fields = {f.name for f in dataclasses.fields(
+            getattr(importlib.import_module(f"backstep.{mod}"), cls))}
+        assert fields and fields.isdisjoint(gone), cls
+    for mod, func, gone in DELETED_PARAMS:
+        params = inspect.signature(getattr(importlib.import_module(f"backstep.{mod}"), func))
+        assert gone not in params.parameters, func
+
+
+def test_package_import_leaves_oracles_unloaded():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+    code = "import sys, backstep; print('backstep.oracles' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "False"
 
 
 MAY_CALL_SVD = {"oracles.py"}

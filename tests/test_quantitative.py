@@ -210,14 +210,13 @@ def test_inverse_row_sums_scale():
 
 
 def test_one_product_evaluation_per_synthesis(monkeypatch):
-    # one Lagrange kernel per synthesis, no truncation tail bound that nothing
-    # reads, and one damping grid per sweep point
+    # one Lagrange kernel per synthesis and one damping grid per sweep point
     import backstep.cauchy as c
     import backstep.quantitative as q
     import backstep.spectrum as sp
     import backstep.transform as t
     calls = []
-    for home, name in ((c, "lagrange_products"), (c, "tail_log_bound"), (sp, "mu_candidates")):
+    for home, name in ((c, "lagrange_products"), (sp, "mu_candidates")):
         real = getattr(home, name)
 
         def counted(*args, _name=name, _real=real):
@@ -237,7 +236,6 @@ def test_one_product_evaluation_per_synthesis(monkeypatch):
     res = cost_sweep(heat(), range(1, 5), 48)
     assert len(res.points) == 4 and sizes("lagrange_products") == [48] * 4
     assert [args[1] for n, args in calls if n == "mu_candidates"] == [1, 2, 3, 4]
-    assert not [n for n, _ in calls if n == "tail_log_bound"]
 
 
 @pytest.mark.parametrize("kind", [Kind.SELF_ADJOINT, Kind.SKEW_ADJOINT])

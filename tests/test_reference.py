@@ -66,7 +66,7 @@ def test_gains_and_norm_Tinv_against_reference():
     kb_ref, tinv_ref = _reference(heat, mu)
     ref = np.array([float(v) for v in kb_ref])
     # the product route, per row, within its constant bar
-    assert np.all(np.abs(synth.kb - ref) <= _term_relerr(N) * np.abs(ref))
+    assert np.all(np.abs(synth.k * synth.b - ref) <= _term_relerr(N) * np.abs(ref))
     # the row-sum route over the explicit inverse, per row, within its own bar
     rows = feedback_gains_rowsum(heat, mu, N, cert)
     assert np.all(np.abs(rows.values - ref / synth.b) <= rows.roundoff)

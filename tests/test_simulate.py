@@ -175,12 +175,12 @@ def test_trajectory_csv_and_manifest(tmp_path):
     sch = build_schedule(m, 1.0, 3.0, 2.5, 2, trunc=48)
     y0 = np.zeros(sch.trunc)
     y0[0] = 1.0
-    rep = run_null_control(sch, y0, s_weight=0.25, samples_per_stage=4)
+    rep = run_null_control(sch, y0, s_weight=0.25)
     path = tmp_path / "traj.csv"
     write_trajectory_csv(rep.samples, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "t,norm_H,norm_s,u"
-    assert len(lines) == 1 + 2 * 4 + 1
+    assert len(lines) == 1 + 2 * 16 + 1
     doc = json.loads(schedule_manifest_json(sch))
     assert set(doc) == {"gamma", "sigma", "horizon", "stages"}
     assert [st["N"] for st in doc["stages"]] == [1, 2]

@@ -99,7 +99,7 @@ def test_gap_report_degenerate_fails():
     assert not rep.passed
     assert rep.condition("consecutive_lower").constant == 0.0
     assert deg.gap_c == 0.0
-    assert deg.gap_C == rep.condition("consecutive_upper").constant
+    assert rep.condition("consecutive_upper").constant == (4.0 - 1.0) / 2.0
 
 
 @pytest.mark.parametrize("levels", [
@@ -111,14 +111,14 @@ def test_tabulated_gap_constants_match_verify_gaps(levels):
     rep = verify_gaps(t)
     assert t.gap_c == min(rep.condition("consecutive_lower").constant,
                           rep.condition("pairwise").constant)
-    assert t.gap_C == rep.condition("consecutive_upper").constant
     # independent oracle: direct loops over consecutive and all pairs k > n
     n = len(levels)
     consec = [(levels[i + 1] - levels[i]) / (i + 1) for i in range(n - 1)]
     pair = [abs(levels[k - 1] - levels[m - 1]) / (k * (k - m))
             for k in range(2, n + 1) for m in range(1, k)]
     assert t.gap_c == pytest.approx(min(min(consec), min(pair)), rel=1e-15, abs=0)
-    assert t.gap_C == pytest.approx(max(consec), rel=1e-15, abs=0)
+    assert rep.condition("consecutive_upper").constant == pytest.approx(max(consec), rel=1e-15,
+                                                                        abs=0)
 
 
 def test_dist_examples():
