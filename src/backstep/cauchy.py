@@ -154,7 +154,8 @@ def _separations(sys: CauchySystem) -> np.ndarray:
 
 def build_cauchy(sys: CauchySystem) -> np.ndarray:
     """N x N matrix C with entries 1/(x_i - x_j - lambda) = 1/(lambda_i - lambda_j - lambda)."""
-    return 1.0 / _separations(sys)
+    sep = _separations(sys)
+    return np.divide(1.0, sep, out=sep)
 
 
 def lagrange_products(sys: CauchySystem) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cauchy import CauchySystem, _separations, csum, explicit_inverse, lagrange_products
+from .cauchy import CauchySystem, build_cauchy, csum, explicit_inverse, lagrange_products
 from .errors import CertificationError, GainFloorError
 from .spectrum import DistCertificate, SpectrumModel, dist_alpha
 
@@ -146,6 +146,8 @@ class BacksteppingSynthesis:
 def _tb_residuals(cauchy_mat: np.ndarray, kb: np.ndarray) -> np.ndarray:
     """|sum_n k_n b_n / (lambda_j - lambda_n - lambda) - 1| for every mode j."""
     d = csum(cauchy_mat * kb[None, :]) - 1.0
+    if not np.iscomplexobj(d):
+        return np.abs(d)
     # Python's complex abs is hypot; numpy's can differ in the last bit
     return np.hypot(d.real, d.imag)
 
@@ -160,10 +162,17 @@ def assemble(model: SpectrumModel, lam: float, N: int,
     GainFloorError if a gain vanishes, and CertificationError if T . T^-1 is
     not finite or drifts from the identity beyond the assembly alarm tolerance,
     or if the TB = B residual exceeds `_TB_TOL`.
+
+    The N x N passes run in place over the call's own buffers: C is inverted
+    over the separations, T is formed over C once T^-1 is built, and the
+    T . T^-1 check takes absolute values over the product.  So a synthesis
+    holds at most five N x N blocks at a time, the returned ones included,
+    and every bit is that of the plain expressions: T is C-ordered and T^-1
+    takes the F order of C^T, as the Lanczos norms' products expect.
     """
     cert = _certify(model, lam, cert)
     sys = CauchySystem.from_model(model, lam, N, cert)
-    cmat = 1.0 / _separations(sys)
+    cmat = build_cauchy(sys)
     log_p, sgn_p, log_q, sgn_q = lagrange_products(sys)
     b = model.b[:N]
     with np.errstate(over="ignore", invalid="ignore"):    # reported just below
@@ -174,12 +183,16 @@ def assemble(model: SpectrumModel, lam: float, N: int,
     kb = k * b
     _check_nonzero(kb, "product")
 
-    T = b[:, None] * cmat * k[None, :]
-    # a reciprocal product, not a division: see cauchy.lagrange_products
-    Tinv = (-lam * b)[:, None] * cmat.T * (q * (1.0 / b))[None, :]
+    tb = _tb_residuals(cmat, kb)
+    # a reciprocal product, not a division: see cauchy.lagrange_products;
+    # T^-1 takes the F order of C^T, and T is formed over C in place
+    Tinv = np.multiply((-lam * b)[:, None], cmat.T)
+    Tinv *= (q * (1.0 / b))[None, :]
+    T = np.multiply(b[:, None], cmat, out=cmat)
+    T *= k[None, :]
     synth = BacksteppingSynthesis(model=model, lam=float(lam), N=N, cert=cert,
                                   b=b, k=k, T_mat=T, Tinv_mat=Tinv,
-                                  tb_residuals=_tb_residuals(cmat, kb), log_f=log_p)
+                                  tb_residuals=tb, log_f=log_p)
     resid = inverse_residual(synth)
     if not math.isfinite(resid):
         raise CertificationError(f"T . T^-1 residual {resid}: float64 overflow at lambda {lam}")
@@ -196,7 +209,7 @@ def inverse_residual(synth: BacksteppingSynthesis) -> float:
     with np.errstate(over="ignore", invalid="ignore"):
         p = synth.T_mat @ synth.Tinv_mat
         p.flat[::synth.N + 1] -= 1.0
-        return float(np.max(np.abs(p)))
+        return float(np.max(np.abs(p, out=None if np.iscomplexobj(p) else p)))
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +259,9 @@ def spectral_norm(mat: np.ndarray) -> float:
     tested step comes by step 1.25 s + 1.  On the 50 matrices of the README
     cost sweep T takes 4-11 steps and T^-1 47 (every-step test: 4-9 and
     38-40), 1,324 steps with 449 eigendecompositions (every-step: 1,112
-    with 1,112).  The results are within 4.4 eps of `np.linalg.svd` and
+    with 1,112).  A tested step also grows the Lanczos basis and T_k to the
+    next tested step, so a run holds the steps it takes, not n x n.  The
+    results are within 4.4 eps of `np.linalg.svd` and
     within 4.5 eps of an extended-precision reference (the SVD's own
     sigma_1: 7.2 eps).
 
@@ -271,9 +286,9 @@ def spectral_norm(mat: np.ndarray) -> float:
         return 0.0
     scale = math.ldexp(1.0, -math.frexp(top)[1])
     n = a.shape[1]
-    q = np.empty((n, n), dtype=np.result_type(a.dtype, float))   # Lanczos vectors, by row
+    q = np.empty((1, n), dtype=np.result_type(a.dtype, float))   # Lanczos vectors, by row
     q[0] = _start_vector(n)
-    tri = np.zeros((n, n))     # T_k in its lower triangle, the only part eigh reads
+    tri = np.zeros((1, 1))     # T_k in its lower triangle, the only part eigh reads
     test = 0
     for k in range(n):
         basis = q[:k + 1]
@@ -289,10 +304,24 @@ def spectral_norm(mat: np.ndarray) -> float:
             theta, s = np.linalg.eigh(tri[:k + 1, :k + 1])
             if beta * abs(s[k, -1]) <= _LANCZOS_TOL * theta[-1]:
                 return math.sqrt(theta[-1]) / scale
+            rows = min(n, test + 1)          # room for the steps up to the next test
+            if rows > len(q):
+                q, tri = _grow_lanczos(q, tri, rows)
         if k + 1 < n:
             tri[k + 1, k] = beta
             q[k + 1] = u / beta
     raise CertificationError(f"Lanczos norm estimate did not converge in {n} steps")
+
+
+def _grow_lanczos(q: np.ndarray, tri: np.ndarray, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """The Lanczos basis `q` and tridiagonal `tri` with room for `rows` steps,
+    their entries kept: a run holds only the steps it takes, not n x n."""
+    k = len(q)
+    q_new = np.empty((rows, q.shape[1]), dtype=q.dtype)
+    q_new[:k] = q
+    tri_new = np.zeros((rows, rows))
+    tri_new[:k, :k] = tri
+    return q_new, tri_new
 
 
 def weighted_norm(synth: BacksteppingSynthesis, mat: np.ndarray, s: float) -> float:

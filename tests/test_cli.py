@@ -1,9 +1,14 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from backstep import cli
 from backstep.cli import main
 from backstep.spectrum import Kind, make_spectrum, make_tabulated, model_to_json
 
@@ -313,3 +318,38 @@ def test_model_file_roundtrip_through_cli(tmp_path):
                "--trunc", "8") == 0
     doc = json.loads((tmp_path / "synthesis.json").read_text())
     assert doc["N"] == 8
+
+
+def test_parser_is_built_once_and_keeps_no_values(tmp_path):
+    assert cli._build_parser() is cli._build_parser()
+    assert run(tmp_path, "synth", "--lambda", "0.5", "--trunc", "8", "--out", "a.json") == 0
+    assert run(tmp_path, "synth", "--lambda", "0.5", "--out", "b.json") == 0
+    assert json.loads((tmp_path / "a.json").read_text())["N"] == 8
+    assert json.loads((tmp_path / "b.json").read_text())["N"] == 32     # the default again
+
+
+TWO_SWEEPS = """
+import resource, sys
+from backstep import cli
+argv = ["cost-sweep", "--n-range", "1:3", "--trunc", "300", "--out", sys.argv[1]]
+faults = []
+for _ in range(2):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    assert cli.main(argv) == 0
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(*faults)
+"""
+
+
+@pytest.mark.skipif(not cli._glibc(), reason="the allocator policy is set through glibc's mallopt")
+def test_second_sweep_in_one_process_reuses_its_memory(tmp_path):
+    """Without the heap policy each sweep point faults its N x N temporaries in
+    again (about 4,000 minor faults for these three points)."""
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", TWO_SWEEPS, str(tmp_path / "s.csv")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    first, second = map(int, proc.stdout.splitlines()[-1].split())
+    assert second < 100, (first, second)

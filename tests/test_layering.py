@@ -4,8 +4,8 @@
 `cauchy-verify`) may import it, so `import backstep` does not load it, and
 neither the package root nor a runtime module keeps a copy or an alias of
 what lives there, the closed-loop checks included.  The TB = B certification
-lives in `transform` alone.  Names, fields and parameters that no command
-reads stay deleted.
+lives in `transform` alone, and the allocator policy in `cli` alone.  Names,
+fields and parameters that no command reads stay deleted.
 """
 
 import ast
@@ -17,6 +17,10 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+from backstep import cli
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "backstep"
 MAY_IMPORT_ORACLES = {"cli.py"}
@@ -170,3 +174,44 @@ def test_one_certification_point():
                  for p in SRC.glob("*.py") if p.name != CERTIFIES}
     assert {name: found for name, found in offenders.items() if found} == {}
     assert _tb_certification(ast.parse((SRC / CERTIFIES).read_text(encoding="utf-8")))
+
+
+# resident pages that a freed synthesis-sized working set (eight 720 KB blocks,
+# formed and freed twice) gives back to the OS, before and after the CLI's policy
+HEAP_PROBE = """
+import numpy as np
+import backstep, backstep.cli
+
+def released():
+    def resident():
+        with open("/proc/self/statm") as f:
+            return int(f.read().split()[1])
+    for _ in range(2):
+        blocks = [np.ones(90_000) for _ in range(8)]
+        full = resident()
+        del blocks
+    return full - resident()
+
+untouched = released()
+backstep.cli._retain_heap()
+print(untouched, released())
+"""
+
+
+def test_only_the_cli_sets_the_allocator_policy():
+    users = {p.name for p in SRC.glob("*.py") if "mallopt" in p.read_text(encoding="utf-8")}
+    assert users == {"cli.py"}
+
+
+@pytest.mark.skipif(not cli._glibc(), reason="the allocator policy is set through glibc's mallopt")
+def test_package_import_leaves_the_allocator_alone():
+    """After `import backstep` (and of `backstep.cli`) glibc still returns a
+    freed working set to the OS; once `cli.main`'s policy is set it keeps it."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", HEAP_PROBE], env=env, capture_output=True,
+                         text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    untouched, retained = map(int, run.stdout.split())
+    assert untouched > 8 * 100, (untouched, retained)     # ~176 pages a block
+    assert retained < 50, (untouched, retained)

@@ -113,6 +113,25 @@ def test_assemble_inverse_identity(kind, N):
     assert factorization_residual(s) <= 1e-12
 
 
+@pytest.mark.parametrize("kind", [Kind.SELF_ADJOINT, Kind.SKEW_ADJOINT])
+def test_assemble_returns_fresh_arrays_and_keeps_the_model(kind):
+    """`assemble` works in place on its own buffers only: each call returns
+    arrays of its own, the model's arrays keep their values, and T is
+    C-ordered and T^-1 F-ordered (the Lanczos norms' bits depend on it)."""
+    m = make_spectrum(kind, 2.0, 1.0, 64)
+    eig, b = m.eigenvalues.copy(), m.b.copy()
+    mu, cert = select_mu(m, 3)
+    s1 = assemble(m, mu, 48, cert)
+    kept = {f: getattr(s1, f).copy() for f in ("k", "T_mat", "Tinv_mat", "tb_residuals", "log_f")}
+    s2 = assemble(m, mu, 48, cert)
+    for f, v in kept.items():
+        a1, a2 = getattr(s1, f), getattr(s2, f)
+        assert not np.shares_memory(a1, a2), f
+        assert np.array_equal(a1, v) and np.array_equal(a2, v), f
+    assert s1.T_mat.flags.c_contiguous and s1.Tinv_mat.flags.f_contiguous
+    assert np.array_equal(m.eigenvalues, eig) and np.array_equal(m.b, b)
+
+
 def test_assemble_guards():
     with pytest.raises(ResonanceError):
         assemble(heat(), 3.0, 8)
