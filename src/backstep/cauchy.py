@@ -12,7 +12,8 @@ integer levels they are exact.  The inverse has a closed form (Schechter,
 
 so the inverse is C itself, transposed and scaled by two diagonals.  The
 products reach magnitudes of order exp(c lambda^(1/alpha)); they are
-accumulated in the log domain with separate unit-modulus sign tracking.  The
+accumulated in the log domain with separate sign tracking, the signs read
+off the structure of the factor matrix (`lagrange_products`).  The
 independent brute-force inversion oracle lives in `backstep.oracles`.
 """
 
@@ -44,15 +45,17 @@ def csum(values: Sequence[complex] | np.ndarray) -> complex | np.ndarray:
     if arr.ndim == 2:
         if not np.iscomplexobj(arr):
             return _row_sums(arr)
+        # real and imaginary parts as one stacked matrix: one extraction
+        sums = _row_sums(np.concatenate((arr.real, arr.imag)))
         out = np.empty(arr.shape[0], dtype=complex)
-        out.real, out.imag = _row_sums(arr.real), _row_sums(arr.imag)
+        out.real, out.imag = sums[:arr.shape[0]], sums[arr.shape[0]:]
         return out
     re = math.fsum(arr.real.tolist())
     im = math.fsum(arr.imag.tolist()) if np.iscomplexobj(arr) else 0.0
     return complex(re, im) if im != 0.0 else re
 
 
-_BLOCK_ROWS = 64   # rows extracted together: temporaries stay at 64 x n
+_BLOCK_ELEMENTS = 1 << 15   # terms extracted together: temporaries stay at 256 KiB
 
 
 def _row_sums(mat: np.ndarray) -> np.ndarray:
@@ -71,6 +74,7 @@ def _row_sums(mat: np.ndarray) -> np.ndarray:
     row's few taus.  A row whose largest term is not finite or is at least
     2^(1020 - M) is summed by fsum itself, which keeps its OverflowError,
     ValueError and NaN behaviour.  An exactly zero sum is +0.0, as in fsum.
+    Rows are extracted in blocks of about `_BLOCK_ELEMENTS` terms.
     """
     rows, n = mat.shape
     out = np.zeros(rows)
@@ -78,9 +82,10 @@ def _row_sums(mat: np.ndarray) -> np.ndarray:
         return out
     m = (n + 1).bit_length()                  # ceil(log2(n + 2))
     limit = math.ldexp(1.0, 1020 - m)         # sigma + p stays below 2^1021
-    for lo in range(0, rows, _BLOCK_ROWS):
-        block = out[lo:lo + _BLOCK_ROWS]          # a view: written in place
-        p = np.array(mat[lo:lo + _BLOCK_ROWS], dtype=float)
+    step = max(1, _BLOCK_ELEMENTS // n)
+    for lo in range(0, rows, step):
+        block = out[lo:lo + step]                 # a view: written in place
+        p = np.array(mat[lo:lo + step], dtype=float)
         top = np.maximum(p.max(axis=1), -p.min(axis=1))
         wild = np.flatnonzero(~(top < limit))   # also inf and NaN
         p[wild] = top[wild] = 0.0
@@ -164,6 +169,21 @@ def lagrange_products(sys: CauchySystem) -> tuple[np.ndarray, np.ndarray, np.nda
     Returns (log|P|, sgn P, log|Q|, sgn Q) with
       P_i = prod_{m != i} (1 + lambda / (lambda_i - lambda_m)),
       Q_j = prod_{n != j} (1 - lambda / (lambda_j - lambda_n)).
+
+    One factor matrix f = 1 + q, q = lambda / (x_i - x_j), serves both: q is
+    antisymmetric bit for bit (negating x_i - x_j negates every rounded
+    step), so Q's factors 1 - q are f's columns.  The signs come from the
+    structure of f, not from a product of unit-modulus factors:
+      - real nodes: sgn P_i and sgn Q_j are the parities of the negative
+        factors in row i and column j, exactly +-1 (a product of the
+        rounded units f / |f| drifts from +-1 by tens of ulps at N = 300);
+      - purely imaginary nodes (skew-adjoint): q is purely imaginary, so
+        f_ji = 1 - q_ij = conj(f_ij) and |f| is symmetric bit for bit.  Then
+        log|Q| = log|P| and sgn Q = conj(sgn P) exactly, and only P is
+        reduced.  At N = 1 the empty product 1+0j would conjugate to 1-0j,
+        so N = 1 takes the general route;
+      - other complex nodes: the product of the units f / |f| along rows
+        and along columns.
     """
     dx = sys.dx
     off = dx != 0.0
@@ -171,22 +191,28 @@ def lagrange_products(sys: CauchySystem) -> tuple[np.ndarray, np.ndarray, np.nda
         raise ResonanceError("repeated eigenvalue: Lagrange products need simple nodes")
     # complex division by a zero-imaginary divisor computes a * (1/b), so every
     # division here is that reciprocal product: real and complex nodes round
-    # alike.  q = lambda / (x_i - x_j), with q = 0 on the diagonal (m = i), a
-    # neutral factor below.  q is antisymmetric bit for bit (negating x_i - x_j
-    # negates every rounded step), so Q's factors 1 - q are the transpose of
-    # P's factors f = 1 + q, and one factor matrix serves both.
+    # alike.  q = 0 on the diagonal (m = i), a neutral factor below.
     f = np.divide(1.0, dx, out=np.zeros_like(dx), where=off)
     f *= sys.lam
     f += 1.0
     if np.any(f == 0.0):
         raise ResonanceError("a Lagrange factor vanished: lambda equals lambda_i - lambda_m exactly")
+    cplx = np.iscomplexobj(f)
     logs = np.abs(f)
-    f *= 1.0 / logs                  # f now holds the unit signs
+    if cplx:
+        f *= 1.0 / logs              # f now holds the unit signs
     np.log(logs, out=logs)
-    # Q's factors are f's columns: reduce C-contiguous transposed copies along
-    # axis 1, which round as the rows of a 1 - q matrix would
-    return (np.sum(logs, axis=1), np.prod(f, axis=1),
-            np.sum(logs.T.copy(), axis=1), np.prod(f.T.copy(), axis=1))
+    log_p = np.sum(logs, axis=1)
+    if not cplx:
+        neg = f < 0.0
+        # Q's logs are reduced as C-contiguous rows, which round as the rows
+        # of a 1 - q matrix would
+        return (log_p, 1.0 - 2.0 * np.logical_xor.reduce(neg, axis=1),
+                np.sum(logs.T.copy(), axis=1), 1.0 - 2.0 * np.logical_xor.reduce(neg, axis=0))
+    sgn_p = np.prod(f, axis=1)
+    if sys.n > 1 and not np.any(sys.x.real):
+        return log_p, sgn_p, log_p.copy(), sgn_p.conj()
+    return log_p, sgn_p, np.sum(logs.T.copy(), axis=1), np.prod(f.T.copy(), axis=1)
 
 
 def explicit_inverse(sys: CauchySystem) -> np.ndarray:

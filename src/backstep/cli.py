@@ -22,11 +22,10 @@ import numpy as np
 
 from .cauchy import CauchySystem, build_cauchy, explicit_inverse, format_scalar
 from .errors import MathGuardError
-from .oracles import oracle_inverse
 from .quantitative import cost_sweep, sweep_to_csv
 from .simulate import (build_schedule, run_null_control, s_weights,
                        schedule_manifest_json, stage_truncation, trajectory,
-                       trajectory_row, write_trajectory_csv)
+                       trajectory_rows, write_trajectory_csv)
 from .spectrum import (Kind, dist_alpha, make_spectrum, model_from_json,
                        select_mu, verify_gaps)
 from .transform import assemble, synthesis_to_json
@@ -285,6 +284,7 @@ def cmd_cauchy_verify(cfg) -> int:
         raise ValueError("empty size grid")
     model = _resolve_model(cfg, n_max_floor=max(sizes))
     lam, cert = _resolve_lambda(model, cfg)
+    from .oracles import oracle_inverse      # the reference layer loads only here
     lines = ["N,lambda,residual_identity,residual_oracle"]
     worst_id = worst_or = 0.0
     for N in sizes:
@@ -334,7 +334,7 @@ def cmd_simulate(cfg) -> int:
         raise ValueError(f"t_steps must be non-negative, got {t_steps}")
     ts = [float(t) for t in np.linspace(0.0, float(cfg["t_max"]), t_steps + 1)]
     weights = s_weights(model, trunc, float(cfg["s_weight"]))
-    rows = [trajectory_row(synth, weights, t, y) for t, y in zip(ts, trajectory(synth, y0, ts))]
+    rows = trajectory_rows(synth, weights, ts, trajectory(synth, y0, ts))
     write_trajectory_csv(rows, cfg["out"])
     print(f"trajectory lambda={lam} -> {cfg['out']}")
     return 0

@@ -10,7 +10,7 @@ closed with an integral tail bound (so the scheduled horizon ends strictly
 before T, with the gap reported).
 
 A state is its coefficient array y_n = <y, phi_n>; both trajectory files
-print one `trajectory_row` (t, H norm, s-norm, control) per sampled time.
+print `trajectory_rows` (t, H norm, s-norm, control), one per sampled time.
 
 A schedule is the plan only: each stage's lambda, certificate, delta and start
 time.  `run_null_control` assembles one stage's synthesis at a time
@@ -33,7 +33,7 @@ import numpy as np
 from .cauchy import csum, format_scalar
 from .errors import DivergenceError, MathGuardError
 from .spectrum import DistCertificate, SpectrumModel, select_mu
-from .transform import BacksteppingSynthesis, assemble
+from .transform import BacksteppingSynthesis, assemble, vector_norm
 
 _SAMPLES_PER_STAGE = 16   # trajectory rows per stage of a null-control run
 
@@ -69,11 +69,20 @@ def propagate(synth: BacksteppingSynthesis, y: np.ndarray, t: float) -> np.ndarr
     return out
 
 
-def trajectory_row(synth: BacksteppingSynthesis, weights: np.ndarray, t: float,
-                   y: np.ndarray) -> tuple[float, float, float, float | complex]:
-    """One trajectory sample (t, ||y||, ||y||_s, u): `weights` are the s-norm's
-    `s_weights`, and the control u = sum_n k_n y_n is summed exactly."""
-    return t, float(np.linalg.norm(y)), float(np.linalg.norm(weights * y)), csum(synth.k * y)
+def trajectory_rows(synth: BacksteppingSynthesis, weights: np.ndarray, ts,
+                    states) -> list[tuple[float, float, float, float | complex]]:
+    """Trajectory samples (t, ||y||, ||y||_s, u), one per time of `ts` and
+    state of `states`: `weights` are the s-norm's `s_weights`, and each
+    control u = sum_n k_n y_n is summed exactly, all of them in one `csum`.
+
+    The norms are `vector_norm`, with the bits of `np.linalg.norm`.  The
+    controls are formed as k * y: complex multiplication rounds with fused
+    multiply-adds, and y * k can differ from it in the last bit.
+    """
+    ys = np.array(list(states))
+    us = csum(synth.k * ys).tolist()
+    wys = weights * ys
+    return [(t, vector_norm(y), vector_norm(wy), u) for t, y, wy, u in zip(ts, ys, wys, us)]
 
 
 # ---------------------------------------------------------------------------
@@ -205,13 +214,11 @@ def run_null_control(schedule: NullControlSchedule, y0: np.ndarray, s_weight: fl
     for st in schedule.stages:
         synth = stage_synthesis(schedule, st)
         n_in = float(np.linalg.norm(y))
-        max_u = 0.0
         taus = [st.delta * q / _SAMPLES_PER_STAGE for q in range(_SAMPLES_PER_STAGE)]
-        states = trajectory(synth, y, taus + [st.delta])
-        for tau, y_t in zip(taus, states):
-            samples.append(trajectory_row(synth, weights, st.t_start + tau, y_t))
-            max_u = max(max_u, abs(samples[-1][3]))
-        y = next(states)
+        *states, y = trajectory(synth, y, taus + [st.delta])
+        rows = trajectory_rows(synth, weights, [st.t_start + tau for tau in taus], states)
+        samples.extend(rows)
+        max_u = max(0.0, *(abs(row[3]) for row in rows))
         n_out = float(np.linalg.norm(y))
         if growth_c_hat is not None and n_in > 0.0:
             limit = growth_C_hat * math.exp(growth_c_hat * st.lam ** (1.0 / alpha))
@@ -224,7 +231,7 @@ def run_null_control(schedule: NullControlSchedule, y0: np.ndarray, s_weight: fl
                                    norm_out_weighted=float(np.linalg.norm(weights * y)),
                                    contraction_log=contraction, max_u=max_u))
         # release this stage's matrices before the next stage is assembled
-        del synth, states
+        del synth
     n_end = float(np.linalg.norm(y))
     samples.append((schedule.t_end, n_end, float(np.linalg.norm(weights * y)), 0.0 + 0.0j))
     n_0 = float(np.linalg.norm(y0))

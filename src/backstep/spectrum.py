@@ -255,41 +255,78 @@ def dist_alpha(model: SpectrumModel, lam: float) -> DistCertificate:
     j > i, and the certified pairwise gap D >= c j^(alpha-1) (j-i) >=
     c j^(alpha-1) puts both indices below (2 lam / c)^(1/(alpha-1)) < n_cap.
     Pairs with j <= i have D <= 0 and so |D - lam| >= lam (also in floating
-    point, where rounding is monotone): they never beat the cap.
-
-    One array pass finds each row's nearest level: `searchsorted` gives the
-    first level m at or above ell_i + lam.  The levels strictly increase, so
-    |D - lam| does not increase in j below m and does not decrease from m on:
-    the nearest level is m - 1 or m, never m + 1.  The result is the first
-    minimum of these 2 n_cap candidates in (i, j) order if it is below `lam`,
-    else `lam` at (1, 1): the strict-< tie-break of a pair-by-pair scan.
+    point, where rounding is monotone): they never beat the cap.  The
+    search is `_nearest_pairs` on the one value `lam`.
     """
     if lam <= 0:
         raise ValueError("lambda must be positive")
     if model.kind is Kind.SKEW_ADJOINT:
         # |lambda_j - lambda_i + lam| = sqrt((ell_i - ell_j)^2 + lam^2) >= lam
         return DistCertificate(lam=lam, dist=lam, witness_pair=(1, 1))
-
-    c = model.gap_c
-    if not c > 0:
+    if not model.gap_c > 0:
         raise CertificationError("model has no positive gap constant; cannot certify distances")
-    n_cap = _index_bound(2.0 * lam / c, model.alpha, "enumeration bound")
-    if model.tabulated and n_cap > model.n_max:
-        raise CertificationError(
-            f"Dist_alpha({lam}) needs levels up to index {n_cap}, but the tabulated spectrum "
-            f"has {model.n_max}; a certificate would cover only the tabulated modes")
+    dist, pairs = _nearest_pairs(model, [lam])
+    return _certificate(lam, dist[0], pairs[0])
 
-    # levels ell_1..ell_K with ell_K >= ell_{n_cap} + lam, then an infinite
-    # sentinel that stands for "no level" at index -1 and past the table
-    ell = np.append(_levels_through(model, model.level(n_cap) + lam), np.inf)
-    m = np.searchsorted(ell, ell[:n_cap] + lam)
-    j = np.stack((m - 1, m), axis=1)
-    d = np.abs((ell[j] - ell[:n_cap, None]) - lam)
-    first = int(np.argmin(d))
-    if not d.flat[first] < lam:
-        return DistCertificate(lam=lam, dist=lam, witness_pair=(1, 1))
-    return DistCertificate(lam=lam, dist=float(d.flat[first]),
-                           witness_pair=(first // 2 + 1, int(j.flat[first]) + 1))
+
+_GRID_ELEMENTS = 1 << 16    # candidate pairs held at once by `_nearest_pairs`
+
+
+def _nearest_pairs(model: SpectrumModel, lams: list[float]) -> tuple[np.ndarray, np.ndarray]:
+    """Dist_alpha and its 1-based witness pair, as `dist_alpha` defines them
+    on a self-adjoint model, at each positive value of `lams`: one level
+    table and array passes over the whole list.
+
+    Each value's guards (the index limit, then a tabulated spectrum too short
+    for its n_cap) are checked in list order before any search, so the first
+    value that fails raises what `dist_alpha` on it alone would.
+
+    `searchsorted` gives each row i the first level m at or above
+    ell_i + lam.  The levels strictly increase, so |D - lam| does not
+    increase in j below m and does not decrease from m on: the nearest level
+    is m - 1 or m, never m + 1.  A value's distance is the first minimum of
+    its 2 n_cap candidates in (i, j) order if it is below lam, else lam at
+    (1, 1): the strict-< tie-break of a pair-by-pair scan.  All values share
+    the table of the largest n_cap and are searched in chunks of about
+    `_GRID_ELEMENTS` candidates; the rows at or past a value's own n_cap are
+    masked out of its minimum.
+    """
+    c = model.gap_c
+    caps = []
+    for lam in lams:
+        n_cap = _index_bound(2.0 * lam / c, model.alpha, "enumeration bound")
+        if model.tabulated and n_cap > model.n_max:
+            raise CertificationError(
+                f"Dist_alpha({lam}) needs levels up to index {n_cap}, but the tabulated spectrum "
+                f"has {model.n_max}; a certificate would cover only the tabulated modes")
+        caps.append(n_cap)
+    top = max(caps)
+    # levels ell_1..ell_K with ell_K >= ell_{n_cap} + lam for every value, then
+    # an infinite sentinel that stands for "no level" at index -1 and past the table
+    ell = np.append(_levels_through(model, model.level(top) + max(lams)), np.inf)
+    rows = ell[:top]
+    left, row_of = np.repeat(rows, 2), np.repeat(np.arange(top), 2)   # candidates in (i, j) order
+    values = np.array(lams)
+    dist = np.empty(len(lams))
+    pairs = np.empty((len(lams), 2), dtype=int)
+    step = max(1, _GRID_ELEMENTS // (2 * top))
+    for lo in range(0, len(lams), step):
+        v = values[lo:lo + step, None]
+        m = np.searchsorted(ell, rows + v)
+        j = np.stack((m - 1, m), axis=2).reshape(len(v), -1)
+        d = np.abs((ell[j] - left) - v)
+        d[row_of >= np.array(caps[lo:lo + step])[:, None]] = np.inf
+        first = np.argmin(d, axis=1)
+        best = d[np.arange(len(v)), first]
+        hit = best < v[:, 0]
+        dist[lo:lo + step] = np.where(hit, best, v[:, 0])
+        witness = np.stack((first // 2 + 1, j[np.arange(len(v)), first] + 1), axis=1)
+        pairs[lo:lo + step] = np.where(hit[:, None], witness, 1)
+    return dist, pairs
+
+
+def _certificate(lam: float, dist: float, pair: np.ndarray) -> DistCertificate:
+    return DistCertificate(lam=lam, dist=float(dist), witness_pair=(int(pair[0]), int(pair[1])))
 
 
 def _levels_through(model: SpectrumModel, target: float) -> np.ndarray:
@@ -347,12 +384,10 @@ def select_mu(model: SpectrumModel, N: int) -> tuple[float, DistCertificate]:
         return mu, replace(cert, floor=mu)
 
     grid, M_N, floor = mu_candidates(model, N)
-    best_cert = None
-    best_mu = None
-    for mu in grid:
-        cert = dist_alpha(model, float(mu))
-        if best_cert is None or cert.dist > best_cert.dist:
-            best_cert, best_mu = cert, float(mu)
+    lams = grid.tolist()
+    dist, pairs = _nearest_pairs(model, lams)
+    k = int(np.argmax(dist))             # the first maximum, as a strict-> scan keeps
+    best_mu, best_cert = lams[k], _certificate(lams[k], dist[k], pairs[k])
     if best_cert.dist < floor:
         raise CertificationError(
             f"no grid point near N={N} clears the certified floor {floor}: "

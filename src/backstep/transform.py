@@ -279,7 +279,12 @@ def spectral_norm(mat: np.ndarray) -> float:
     step meets the stop rule.
     """
     a = np.asarray(mat)
-    top = float(np.max(np.abs(a)))
+    if np.iscomplexobj(a):
+        conj = np.conj
+        top = float(np.max(np.abs(a)))
+    else:                          # a real run takes no conjugate copies
+        conj = _same
+        top = max(float(a.max()), -float(a.min()))     # NaN if any entry is NaN
     if not math.isfinite(top):
         raise CertificationError(f"spectral norm of a matrix with entry of modulus {top}")
     if top == 0.0:
@@ -293,12 +298,12 @@ def spectral_norm(mat: np.ndarray) -> float:
     for k in range(n):
         basis = q[:k + 1]
         w = (a @ q[k]) * scale
-        u = (w.conj() @ a).conj() * scale    # (cA)^H (cA) q_k; no scaled copy of A
-        c = (basis @ u.conj()).conj()
+        u = conj(conj(w) @ a) * scale    # (cA)^H (cA) q_k; no scaled copy of A
+        c = conj(basis @ conj(u))
         tri[k, k] = c[k].real
         u -= c @ basis
-        u -= (basis @ u.conj()).conj() @ basis
-        beta = np.linalg.norm(u)
+        u -= conj(basis @ conj(u)) @ basis
+        beta = vector_norm(u)
         if k == test or k + 1 == n or beta == 0.0:
             test = max(k + 1, int(_LANCZOS_TEST_GROWTH * (k + 1)))
             theta, s = np.linalg.eigh(tri[:k + 1, :k + 1])
@@ -309,8 +314,21 @@ def spectral_norm(mat: np.ndarray) -> float:
                 q, tri = _grow_lanczos(q, tri, rows)
         if k + 1 < n:
             tri[k + 1, k] = beta
-            q[k + 1] = u / beta
+            np.divide(u, beta, out=q[k + 1])
     raise CertificationError(f"Lanczos norm estimate did not converge in {n} steps")
+
+
+def _same(v: np.ndarray) -> np.ndarray:
+    """The conjugate of a real array: the array itself."""
+    return v
+
+
+def vector_norm(v: np.ndarray) -> float:
+    """`np.linalg.norm(v)` of a 1-D array, bit for bit: the root of the dot
+    products of its real (and imaginary) parts, without the call's overhead."""
+    if np.iscomplexobj(v):
+        return math.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag))
+    return math.sqrt(v.dot(v))
 
 
 def _grow_lanczos(q: np.ndarray, tri: np.ndarray, rows: int) -> tuple[np.ndarray, np.ndarray]:

@@ -8,7 +8,7 @@ from backstep.cauchy import (CauchySystem, build_cauchy, csum, explicit_inverse,
                              format_scalar, lagrange_products)
 from backstep.errors import ResonanceError, SingularMatrixError
 from backstep.oracles import LogSignedProduct, oracle_inverse
-from backstep.spectrum import Kind, dist_alpha, make_spectrum, make_tabulated
+from backstep.spectrum import Kind, dist_alpha, make_spectrum, make_tabulated, select_mu
 
 
 def heat(n_max=64):
@@ -239,6 +239,24 @@ def test_csum_rows_make_no_per_row_fsum_call(monkeypatch):
     assert rows.tobytes() == expected
 
 
+@settings(max_examples=25, deadline=None)
+@given(pool=st.lists(_WILD, min_size=1, max_size=6), n=st.sampled_from([3, 129, 300]),
+       seed=st.integers(0, 2**32 - 1), cplx=st.booleans())
+def test_csum_rows_across_blocks_are_fsum_bits(pool, n, seed, cplx):
+    # more rows than one block of _BLOCK_ELEMENTS terms holds, and a complex
+    # matrix stacked twice as tall: every row keeps fsum's bits, including
+    # its -0.0, inf, NaN and overflow behaviour
+    from backstep.cauchy import _BLOCK_ELEMENTS
+    rng = np.random.default_rng(seed)
+    shape = (_BLOCK_ELEMENTS // n + 3, n)
+    mat = np.array(pool)[rng.integers(0, len(pool), shape)] * rng.choice([1.0, -1.0], shape)
+    if cplx:
+        cx = np.empty(shape, dtype=complex)
+        cx.real, cx.imag = mat, mat[rng.permutation(shape[0])]
+        mat = cx
+    assert _csum_rows(mat) == _fsum_rows(mat)
+
+
 def _parse_scalar(text):
     # inverse of format_scalar: "re", "re+imi" or "re-imi"
     if not text.endswith("i"):
@@ -267,15 +285,58 @@ def _complex_nodes(sysm):
 @pytest.mark.parametrize("model", _node_models(),
                          ids=["alpha1.5", "alpha2", "alpha3", "tabulated"])
 def test_real_nodes_round_like_complex_nodes(model):
-    # the float64 kernel must give the bits of the complex kernel on the same nodes
+    # the float64 kernel gives the bits of the complex kernel on the same
+    # nodes, except its signs: those are exact parities, +-1, where the
+    # complex kernel's products of rounded units drift by a few ulps
+    eps = np.finfo(float).eps
     for lam in (0.7, 13.3, 57.1, 99.7):
         real = CauchySystem.from_model(model, lam, 64)
         cplx = _complex_nodes(real)
         assert np.array_equal(real.x, cplx.x.real) and np.array_equal(real.dx, cplx.dx.real)
         assert np.array_equal(build_cauchy(real), build_cauchy(cplx))
-        for a, b in zip(lagrange_products(real), lagrange_products(cplx)):
-            assert np.array_equal(a, b.real) and not np.any(np.imag(b))
-        assert np.array_equal(explicit_inverse(real), explicit_inverse(cplx))
+        log_p, sgn_p, log_q, sgn_q = lagrange_products(real)
+        c_log_p, c_sgn_p, c_log_q, c_sgn_q = lagrange_products(cplx)
+        for a, b in ((log_p, c_log_p), (log_q, c_log_q)):
+            assert np.array_equal(a, b.real) and not np.any(b.imag)
+        for a, b in ((sgn_p, c_sgn_p), (sgn_q, c_sgn_q)):
+            assert np.array_equal(np.abs(a), np.ones(64)) and np.array_equal(a, np.sign(b.real))
+            assert not np.any(b.imag) and np.max(np.abs(b - a)) <= 64 * eps
+        e_real, e_cplx = explicit_inverse(real), explicit_inverse(cplx)
+        assert np.array_equal(np.sign(e_real), np.sign(e_cplx.real))
+        assert np.all(np.abs(e_real - e_cplx) <= 128 * eps * np.abs(e_real))
+
+
+@pytest.mark.parametrize("alpha,scale", [(1.5, 1.0), (2.0, 1.0), (3.0, 1.0), (2.0, 32.0)])
+def test_real_lagrange_signs_are_exact_parities(alpha, scale):
+    # the factor 1 + lambda / (x_i - x_m) is negative exactly when
+    # 0 < x_m - x_i < lambda, and a certified lambda keeps every difference
+    # away from lambda; so sgn P_i and sgn Q_j are -1 to the number of such
+    # m in row i and column j, exactly +-1
+    model = make_spectrum(Kind.SELF_ADJOINT, alpha, scale, 300)
+    for base in (2, 7, 25):
+        lam = select_mu(model, base)[0]
+        x = model.eigenvalues
+        below = (x[None, :] - x[:, None] > 0.0) & (x[None, :] - x[:, None] < lam)
+        _, sgn_p, _, sgn_q = lagrange_products(CauchySystem.from_model(model, lam, 300))
+        assert np.array_equal(sgn_p, (-1.0) ** np.count_nonzero(below, axis=1)), base
+        assert np.array_equal(sgn_q, (-1.0) ** np.count_nonzero(below, axis=0)), base
+
+
+@pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("scale", [1.0, 32.0])
+def test_skew_column_products_conjugate_row_products(alpha, scale):
+    # purely imaginary nodes: 1 - q is the conjugate of 1 + q, so
+    # log|Q| = log|P| and sgn Q = conj(sgn P) bit for bit, as the two-pass
+    # form also gives
+    model = make_spectrum(Kind.SKEW_ADJOINT, alpha, scale, 300)
+    for N in (64, 128, 300):
+        for base in (3, 40):
+            sysm = CauchySystem.from_model(model, select_mu(model, base)[0], N)
+            log_p, sgn_p, log_q, sgn_q = lagrange_products(sysm)
+            assert log_q.tobytes() == log_p.tobytes()
+            assert sgn_q.tobytes() == sgn_p.conj().tobytes()
+            ref = _two_pass_lagrange_products(sysm)
+            assert all(a.tobytes() == b.tobytes() for a, b in zip((log_p, sgn_p, log_q, sgn_q), ref))
 
 
 def test_self_adjoint_kernel_is_real():
@@ -300,7 +361,8 @@ def test_repeated_eigenvalue_guard():
 
 def _two_pass_lagrange_products(sysm):
     """Reference: the products from two factor matrices, 1 + q and 1 - q,
-    each reduced along its rows."""
+    each reduced along its rows; a real row's sign is the parity of its
+    negative factors, a complex row's the product of its units."""
     dx = sysm.dx
     q = sysm.lam * np.divide(1.0, dx, out=np.zeros_like(dx), where=dx != 0.0)
 
@@ -308,7 +370,11 @@ def _two_pass_lagrange_products(sysm):
         if np.any(factors == 0.0):
             raise ResonanceError("a Lagrange factor vanished")
         mag = np.abs(factors)
-        return np.sum(np.log(mag), axis=1), np.prod(factors * (1.0 / mag), axis=1)
+        if np.iscomplexobj(factors):
+            sgn = np.prod(factors * (1.0 / mag), axis=1)
+        else:                     # real signs: the parity of the negative factors
+            sgn = np.where(np.count_nonzero(factors < 0.0, axis=1) % 2 == 1, -1.0, 1.0)
+        return np.sum(np.log(mag), axis=1), sgn
     return rows(1.0 + q) + rows(1.0 - q)
 
 

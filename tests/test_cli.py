@@ -130,10 +130,10 @@ def test_synth_gain_overflow_exits_3(tmp_path, capsys):
 @pytest.mark.parametrize("command,out", [("synth", "synthesis.json"),
                                          ("simulate", "trajectory.csv")])
 def test_tb_bound_exits_3(tmp_path, capsys, command, out):
-    # the certified damping near N = 64 at truncation 48 leaves TB=B at 4.43e-8
+    # the certified damping near N = 64 at truncation 48 leaves TB=B at 3.90e-8
     assert run(tmp_path, command, "--n-base", "64", "--trunc", "48") == 3
     err = capsys.readouterr().err
-    assert re.fullmatch(r"error: TB=B residual 4\.43\d*e-08 exceeds the acceptance bound 1e-09\n",
+    assert re.fullmatch(r"error: TB=B residual 3\.89\d*e-08 exceeds the acceptance bound 1e-09\n",
                         err), err
     assert not (tmp_path / out).exists()
 

@@ -113,14 +113,24 @@ def test_deleted_fields_and_parameters_stay_deleted():
         assert gone not in params.parameters, func
 
 
-def test_package_import_leaves_oracles_unloaded():
+def _import_loads_oracles(module: str) -> bool:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
-    code = "import sys, backstep; print('backstep.oracles' in sys.modules)"
+    code = f"import sys, {module}; print('backstep.oracles' in sys.modules)"
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=60)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.strip() == "False"
+    return run.stdout.strip() == "True"
+
+
+def test_package_import_leaves_oracles_unloaded():
+    assert not _import_loads_oracles("backstep")
+
+
+def test_cli_import_leaves_oracles_unloaded():
+    # the CLI loads the reference layer inside `cauchy-verify` only, so no
+    # other command's start-up pays for it
+    assert not _import_loads_oracles("backstep.cli")
 
 
 MAY_CALL_SVD = {"oracles.py"}

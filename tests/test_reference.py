@@ -8,9 +8,9 @@ evaluates the Lagrange products and T^-1 = -lambda diag(b) C^T diag(Q/b) in
 import numpy as np
 import pytest
 
-from backstep.cauchy import CauchySystem, _separations
+from backstep.cauchy import CauchySystem, _separations, lagrange_products
 from backstep.spectrum import Kind, make_spectrum, select_mu
-from backstep.transform import (_term_relerr, assemble, feedback_gains_rowsum,
+from backstep.transform import (_product_kb, _term_relerr, assemble, feedback_gains_rowsum,
                                 spectral_norm)
 
 mpmath = pytest.importorskip("mpmath")
@@ -19,12 +19,10 @@ mp = mpmath.mp
 N = 300                       # the README sweep: cost-sweep --n-range 1:25 --trunc 300
 
 
-def _reference(model, lam):
-    """(k b, T^-1) at 60 digits: k_i b_i = -lambda P_i and
-    T^-1_ij = -lambda b_i Q_j / (b_j (x_j - x_i - lambda))."""
+def _products(model, lam):
+    """The Lagrange products P_i and Q_j at 60 digits."""
     with mp.workdps(60):
         x = [mp.mpf(-float(v)) for v in model.levels[:N]]
-        b = [mp.mpf(float(v)) for v in model.b[:N]]
         lam = mp.mpf(lam)
         P, Q = [], []
         for i in range(N):
@@ -36,6 +34,17 @@ def _reference(model, lam):
                     q *= 1 - r
             P.append(p)
             Q.append(q)
+    return P, Q
+
+
+def _reference(model, lam):
+    """(k b, T^-1) at 60 digits: k_i b_i = -lambda P_i and
+    T^-1_ij = -lambda b_i Q_j / (b_j (x_j - x_i - lambda))."""
+    P, Q = _products(model, lam)
+    with mp.workdps(60):
+        x = [mp.mpf(-float(v)) for v in model.levels[:N]]
+        b = [mp.mpf(float(v)) for v in model.b[:N]]
+        lam = mp.mpf(lam)
         kb = [-lam * p for p in P]
         tinv = mp.matrix(N, N)
         for i in range(N):
@@ -73,6 +82,23 @@ def test_gains_and_norm_Tinv_against_reference():
     # the printed norm: within 8 ulps of the reference sigma_1
     sigma = _sigma1(tinv_ref, synth.Tinv_mat)
     assert abs(spectral_norm(synth.Tinv_mat) - sigma) <= 8 * np.spacing(sigma)
+
+
+@pytest.mark.parametrize("base", [2, 25])
+def test_gain_and_column_products_against_reference(base):
+    # with exact parity signs the log-signed products are off by at most
+    # 11.5-18.1 eps (k b) and 12.6-17.1 eps (Q) at these README points; a
+    # product of the rounded units f / |f| as the signs put them at 42-47 eps
+    heat = make_spectrum(Kind.SELF_ADJOINT, 2.0, 1.0, 320)
+    mu, cert = select_mu(heat, base)
+    log_p, sgn_p, log_q, sgn_q = lagrange_products(CauchySystem.from_model(heat, mu, N, cert))
+    P, Q = _products(heat, mu)
+    eps = np.finfo(float).eps
+    with mp.workdps(60):
+        for got, ref in ((_product_kb(mu, log_p, sgn_p), [-mp.mpf(mu) * p for p in P]),
+                         (sgn_q * np.exp(log_q), Q)):
+            err = [float(abs((mp.mpf(float(g)) - r) / r)) for g, r in zip(got, ref)]
+            assert max(err) <= 24 * eps, (base, max(err) / eps)
 
 
 @pytest.mark.parametrize("kind", [Kind.SELF_ADJOINT, Kind.SKEW_ADJOINT])

@@ -11,7 +11,8 @@ from backstep.errors import CertificationError, DivergenceError
 from backstep.oracles import chi, condition_number, measure_decay
 from backstep.simulate import (build_schedule, propagate, run_null_control,
                                s_weights, schedule_manifest_json, stage_synthesis,
-                               stage_truncation, trajectory, write_trajectory_csv)
+                               stage_truncation, trajectory, trajectory_rows,
+                               write_trajectory_csv)
 from backstep.spectrum import Kind, make_spectrum
 from backstep.transform import assemble
 
@@ -161,12 +162,12 @@ def test_null_control_divergence_alarm():
 
 
 def test_schedule_rejects_stage_past_tb_bound():
-    # 10 stages peak at TB=B 1.6e-10; stage 11 of 12 reaches 1.5e-9 > 1e-9
+    # 10 stages peak at TB=B 2.0e-10; stage 11 of 12 reaches 1.2e-9 > 1e-9
     m = heat(200, scale=32.0)
     sch = build_schedule(m, 1.0, 3.0, 2.5, 10, trunc=48)
     assert max(stage_synthesis(sch, st).tb_residual_max for st in sch.stages) <= 1e-9
     sch = build_schedule(m, 1.0, 3.0, 2.5, 12, trunc=48)
-    with pytest.raises(CertificationError, match=r"stage 11 \(lambda 1343\.7.*TB=B residual 1\.5"):
+    with pytest.raises(CertificationError, match=r"stage 11 \(lambda 1343\.7.*TB=B residual 1\.2"):
         run_null_control(sch, np.eye(sch.trunc)[0])
 
 
@@ -273,6 +274,30 @@ def test_trajectory_bits_match_per_time_formula(kind, s, tmp_path):
                      csum(s32.k * y_t)))
     write_trajectory_csv(rows, tmp_path / "ref.csv")
     assert out.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def _bits(row):
+    return tuple(complex(v).real.hex() + complex(v).imag.hex() for v in row)
+
+
+@pytest.mark.parametrize("kind", list(Kind))
+def test_trajectory_rows_match_per_sample_bits(kind):
+    # one 2-D csum per batch and the dot-product norms give each sample the
+    # bits of np.linalg.norm and of a one-sample csum, at the schedule's 128
+    # modes, over states of very different sizes
+    model = make_spectrum(kind, 2.0, 32.0, 128)
+    sch = build_schedule(model, 1.0, 3.0, 2.5, 10, trunc=48)
+    st = sch.stages[-1]
+    synth = stage_synthesis(sch, st)
+    rng = np.random.default_rng(9)
+    ys = rng.standard_normal((40, sch.trunc)) * 10.0 ** rng.integers(-100, 100, (40, 1))
+    ys[3] = 0.0
+    ts = [0.1 * q for q in range(40)]
+    ws = s_weights(model, sch.trunc, 0.75)
+    got = trajectory_rows(synth, ws, ts, iter(ys))
+    ref = [(t, float(np.linalg.norm(y)), float(np.linalg.norm(ws * y)), csum(synth.k * y))
+           for t, y in zip(ts, ys)]
+    assert [_bits(r) for r in got] == [_bits(r) for r in ref]
 
 
 def test_trajectory_checks_inputs_first(synth32):

@@ -1,7 +1,11 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from backstep import spectrum
 from backstep.errors import CertificationError
 from backstep.spectrum import (Kind, dist_alpha, make_spectrum, make_tabulated,
                                model_from_json, model_to_json, mu_candidates,
@@ -266,6 +270,69 @@ def test_select_mu_floor_sweep():
         mu, cert = select_mu(m, N)
         assert N <= mu <= N + m.gap_c
         assert cert.dist >= cert.floor
+
+
+def _loop_select_mu(model, N):
+    """Reference: the per-point scan, one `dist_alpha` per grid point in grid
+    order, the first maximum kept."""
+    grid, M_N, floor = mu_candidates(model, N)
+    best = None
+    for mu in grid:
+        cert = dist_alpha(model, float(mu))
+        if best is None or cert.dist > best.dist:
+            best = cert
+    if best.dist < floor:
+        raise CertificationError(
+            f"no grid point near N={N} clears the certified floor {floor}: "
+            f"best dist {best.dist} at mu={best.lam} (M_N={M_N})")
+    return best.lam, replace(best, floor=floor)
+
+
+def _outcome(select, model, N):
+    try:
+        mu, cert = select(model, N)
+        return mu, cert.lam, cert.dist, cert.witness_pair, cert.floor
+    except (ValueError, CertificationError) as exc:
+        return type(exc), str(exc)
+
+
+def test_whole_grid_select_mu_matches_per_point_scan():
+    cases = [(2.0, 1.0, range(1, 200, 3)), (3.0, 1.0, range(1, 200)), (1.5, 1.0, range(1, 13)),
+             (2.0, 32.0, [math.ceil(k ** 3 - 1e-9) for k in range(1, 13)])]
+    for alpha, scale, bases in cases:
+        model = heat(64, alpha, scale)
+        for N in bases:
+            got = _outcome(select_mu, model, N)
+            assert got == _outcome(_loop_select_mu, model, N), (alpha, scale, N)
+            assert isinstance(got[0], float) and all(type(i) is int for i in got[3])
+
+
+def test_whole_grid_select_mu_raises_as_the_scan_does(monkeypatch):
+    # a tabulated table too short from some grid point on, and an index limit
+    # crossed part-way through the grid: the first failing point in grid
+    # order raises, with the scan's exception and message
+    rng = np.random.default_rng(3)
+    failed = 0
+    for n in (5, 10, 30):
+        table = make_tabulated(Kind.SELF_ADJOINT, 2.0, -(np.cumsum(rng.uniform(1, 9, n)) + 0.25))
+        for N in range(1, 40):
+            got = _outcome(select_mu, table, N)
+            assert got == _outcome(_loop_select_mu, table, N), (n, N)
+            failed += got[0] is CertificationError
+    assert failed > 0
+    monkeypatch.setattr(spectrum, "DEFAULT_INDEX_LIMIT", 22)
+    model = heat()             # at N = 10, n_cap = int(2 mu) + 2 is 22, then 23 from mu 10.5
+    got = _outcome(select_mu, model, 10)
+    assert got[0] is ValueError and got[1].startswith("enumeration bound 23 exceeds")
+    assert got == _outcome(_loop_select_mu, model, 10)
+
+
+def test_whole_grid_search_in_chunks(monkeypatch):
+    # a chunk of a few grid points at a time gives the one-chunk certificates
+    model = heat(64, 1.5)
+    whole = [_outcome(select_mu, model, N) for N in range(1, 9)]
+    monkeypatch.setattr(spectrum, "_GRID_ELEMENTS", 1000)
+    assert [_outcome(select_mu, model, N) for N in range(1, 9)] == whole
 
 
 def test_tabulated_without_positive_gap_refuses_certification():
