@@ -204,11 +204,13 @@ def lagrange_products(sys: CauchySystem) -> tuple[np.ndarray, np.ndarray, np.nda
     np.log(logs, out=logs)
     log_p = np.sum(logs, axis=1)
     if not cplx:
-        neg = f < 0.0
+        # a parity is the low bit of a count, and a uint8 count wraps mod 256,
+        # which keeps it (xor.reduce along rows is ~12x slower at N = 300)
+        neg = (f < 0.0).view(np.uint8)
         # Q's logs are reduced as C-contiguous rows, which round as the rows
         # of a 1 - q matrix would
-        return (log_p, 1.0 - 2.0 * np.logical_xor.reduce(neg, axis=1),
-                np.sum(logs.T.copy(), axis=1), 1.0 - 2.0 * np.logical_xor.reduce(neg, axis=0))
+        return (log_p, 1.0 - 2.0 * (neg.sum(axis=1, dtype=np.uint8) & 1),
+                np.sum(logs.T.copy(), axis=1), 1.0 - 2.0 * (neg.sum(axis=0, dtype=np.uint8) & 1))
     sgn_p = np.prod(f, axis=1)
     if sys.n > 1 and not np.any(sys.x.real):
         return log_p, sgn_p, log_p.copy(), sgn_p.conj()

@@ -28,7 +28,7 @@ from .simulate import (build_schedule, run_null_control, s_weights,
                        trajectory_rows, write_trajectory_csv)
 from .spectrum import (Kind, dist_alpha, make_spectrum, model_from_json,
                        select_mu, verify_gaps)
-from .transform import assemble, synthesis_to_json
+from .transform import assemble, synthesis_to_json, unit_gaussian
 
 
 def main(argv=None) -> int:
@@ -198,7 +198,8 @@ def _add_state_flags(p):
     p.add_argument("--y0-modes", dest="y0_modes", help="comma-separated mode indices, unit mix")
     p.add_argument("--y0-file", dest="y0_file", help="JSON list of coefficients")
     p.add_argument("--y0-random", dest="y0_random", action="store_const", const=True)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int,
+                   help="non-negative integer seed of --y0-random's draw (Python's random.Random)")
     p.add_argument("--s-weight", dest="s_weight", type=float)
 
 
@@ -223,6 +224,11 @@ def _merge(args) -> dict:
         # float flags and the JSON parser both accept inf and nan
         if isinstance(v, float) and not math.isfinite(v):
             raise ValueError(f"setting {key} must be finite, got {v}")
+    # random.Random would take a negative seed as its absolute value, a float
+    # or a bool silently: refuse all three
+    seed = cfg.get("seed")
+    if seed is not None and (type(seed) is not int or seed < 0):
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     return cfg
 
 
@@ -253,9 +259,7 @@ def _initial_state(cfg, n):
         if not np.all(np.isfinite(y)):
             raise ValueError("y0 file entries must be finite numbers (no null, inf or nan)")
     elif cfg.get("y0_random"):
-        rng = np.random.default_rng(int(cfg["seed"]))
-        y = rng.standard_normal(n)
-        y /= np.linalg.norm(y)
+        y = unit_gaussian(n, cfg["seed"])
     else:
         modes = [int(tok) for tok in str(cfg["y0_modes"]).split(",") if tok.strip()]
         if not modes or any(m < 1 or m > n for m in modes):

@@ -221,12 +221,21 @@ _LANCZOS_TOL = 4.0 * _EPS         # Ritz residual bar, relative to the Ritz valu
 _LANCZOS_TEST_GROWTH = 1.25       # spacing factor of the steps that test the stop rule
 
 
+def unit_gaussian(n: int, seed: int) -> np.ndarray:
+    """n standard normal draws of `random.Random(seed)`, scaled to unit norm.
+
+    The package's one seeded Gaussian source (the Lanczos start vector and
+    the CLI's `--y0-random` state); numpy.random would add ~6 MB of RSS.
+    """
+    rng = random.Random(seed)
+    y = np.array([rng.gauss(0.0, 1.0) for _ in range(n)])
+    return y / np.linalg.norm(y)
+
+
 @functools.lru_cache
 def _start_vector(n: int) -> np.ndarray:
     """The seeded unit Gaussian start vector of size n; read-only, built once per size."""
-    rng = random.Random(_LANCZOS_SEED)       # numpy.random would add ~6 MB of RSS
-    start = np.array([rng.gauss(0.0, 1.0) for _ in range(n)])
-    start = start / np.linalg.norm(start)
+    start = unit_gaussian(n, _LANCZOS_SEED)
     start.flags.writeable = False
     return start
 

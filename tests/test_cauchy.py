@@ -322,6 +322,17 @@ def test_real_lagrange_signs_are_exact_parities(alpha, scale):
         assert np.array_equal(sgn_q, (-1.0) ** np.count_nonzero(below, axis=0)), base
 
 
+def test_real_lagrange_signs_past_255_negative_factors():
+    # nodes -1, -2, ..., -600 and lambda = 400.5: row i (from 0) has
+    # min(i, 400) negative factors and column j min(599 - j, 400), so the
+    # counts pass 255, where a uint8 count wraps
+    model = make_tabulated(Kind.SELF_ADJOINT, 2.0, -np.arange(1.0, 601.0))
+    _, sgn_p, _, sgn_q = lagrange_products(CauchySystem.from_model(model, 400.5, 600))
+    counts = np.minimum(np.arange(600), 400)
+    assert np.array_equal(sgn_p, (-1.0) ** counts)
+    assert np.array_equal(sgn_q, (-1.0) ** counts[::-1])
+
+
 @pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0])
 @pytest.mark.parametrize("scale", [1.0, 32.0])
 def test_skew_column_products_conjugate_row_products(alpha, scale):

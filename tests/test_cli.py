@@ -8,9 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from backstep import cli
+from backstep import cli, transform
 from backstep.cli import main
 from backstep.spectrum import Kind, make_spectrum, make_tabulated, model_to_json
+from backstep.transform import unit_gaussian
 
 
 def run(tmp_path, *argv):
@@ -309,6 +310,47 @@ def test_determinism_null_control_with_seed(tmp_path):
             != (tmp_path / "r1_trajectory.csv").read_bytes())
     assert ((tmp_path / "r3_manifest.json").read_bytes()
             == (tmp_path / "r1_manifest.json").read_bytes())
+
+
+def test_random_state_is_the_seeded_unit_gaussian():
+    def draw(n, seed):
+        return cli._initial_state({"y0_file": None, "y0_random": True, "seed": seed}, n)
+    for n, seed in ((48, 0), (48, 42), (300, 2 ** 70)):
+        y = draw(n, seed)
+        assert y.tobytes() == unit_gaussian(n, seed).tobytes() == draw(n, seed).tobytes()
+        assert y.shape == (n,) and abs(np.linalg.norm(y) - 1.0) <= 4e-16
+        assert not np.array_equal(y, draw(n, seed + 1))
+    # seed 0 is the Lanczos start vector's draw
+    assert draw(48, 0).tobytes() == transform._start_vector(48).tobytes()
+
+
+def test_seed_flag_must_be_a_non_negative_integer(tmp_path, capsys):
+    args = ("simulate", "--lambda", "0.5", "--trunc", "8", "--y0-random")
+    assert run(tmp_path, *args, "--seed", "-1") == 2
+    assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:         # argparse's own usage error
+        run(tmp_path, *args, "--seed", "3.5")
+    assert exc.value.code == 2
+    assert not (tmp_path / "trajectory.csv").exists()
+    assert run(tmp_path, *args, "--seed", "3") == 0
+
+
+@pytest.mark.parametrize("seed", [-1, 3.5, 3.0, True, False, "3", [3]])
+def test_config_seed_must_be_a_non_negative_integer(tmp_path, capsys, seed):
+    # random.Random would run -1 as 1, 3.5 as its hash and true as 1
+    (tmp_path / "cfg.json").write_text(json.dumps({"seed": seed, "y0_random": True}))
+    for command in ("simulate", "null-control"):
+        assert run(tmp_path, command, "--config", "cfg.json", "--trunc", "8") == 2
+        assert "seed must be a non-negative integer" in capsys.readouterr().err
+    assert [f.name for f in tmp_path.iterdir()] == ["cfg.json"]     # nothing written
+
+
+def test_config_seed_matches_the_flag(tmp_path):
+    (tmp_path / "cfg.json").write_text(json.dumps({"seed": 3, "y0_random": True}))
+    args = ("simulate", "--lambda", "0.5", "--trunc", "8")
+    assert run(tmp_path, *args, "--config", "cfg.json", "--out", "a.csv") == 0
+    assert run(tmp_path, *args, "--y0-random", "--seed", "3", "--out", "b.csv") == 0
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
 def test_model_file_roundtrip_through_cli(tmp_path):

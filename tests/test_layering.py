@@ -4,8 +4,9 @@
 `cauchy-verify`) may import it, so `import backstep` does not load it, and
 neither the package root nor a runtime module keeps a copy or an alias of
 what lives there, the closed-loop checks included.  The TB = B certification
-lives in `transform` alone, and the allocator policy in `cli` alone.  Names,
-fields and parameters that no command reads stay deleted.
+lives in `transform` alone, the allocator policy in `cli` alone, and no
+runtime module draws from numpy's random module.  Names, fields and
+parameters that no command reads stay deleted.
 """
 
 import ast
@@ -113,14 +114,19 @@ def test_deleted_fields_and_parameters_stay_deleted():
         assert gone not in params.parameters, func
 
 
-def _import_loads_oracles(module: str) -> bool:
+def _python(code: str, *args: str) -> str:
+    """stdout of `code` run in a fresh interpreter that imports this source tree."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
-    code = f"import sys, {module}; print('backstep.oracles' in sys.modules)"
-    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    run = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
                          text=True, timeout=60)
     assert run.returncode == 0, run.stderr
-    return run.stdout.strip() == "True"
+    return run.stdout
+
+
+def _import_loads_oracles(module: str) -> bool:
+    code = f"import sys, {module}; print('backstep.oracles' in sys.modules)"
+    return _python(code).strip() == "True"
 
 
 def test_package_import_leaves_oracles_unloaded():
@@ -156,6 +162,57 @@ def test_one_norm_route_outside_the_oracles():
     callers = {p.name for p in SRC.glob("*.py")
                if _calls_svd(ast.parse(p.read_text(encoding="utf-8")))}
     assert callers <= MAY_CALL_SVD
+
+
+MAY_NAME_NUMPY_RANDOM = {"oracles.py"}
+
+
+def _names_numpy_random(tree: ast.AST) -> bool:
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "random" \
+                and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"):
+            return True
+        if isinstance(node, ast.Import) \
+                and any(a.name.split(".")[:2] == ["numpy", "random"] for a in node.names):
+            return True
+        if isinstance(node, ast.ImportFrom) and not node.level:
+            module = (node.module or "").split(".")
+            if module[:2] == ["numpy", "random"] or \
+                    (module == ["numpy"] and any(a.name == "random" for a in node.names)):
+                return True
+    return False
+
+
+def test_one_gaussian_source_outside_the_oracles():
+    """Seeded Gaussian draws come from `transform.unit_gaussian` (Python's
+    `random`); no runtime module names numpy.random, which costs ~6 MB of
+    resident memory to load."""
+    for code in ("np.random.default_rng(0)", "numpy.random.standard_normal(3)",
+                 "import numpy.random", "import numpy.random as npr",
+                 "from numpy import random", "from numpy.random import default_rng"):
+        assert _names_numpy_random(ast.parse(code)), code
+    for code in ("random.Random(0)", "import random", "from . import random",
+                 "np.linalg.norm(y)", "rng.random()"):
+        assert not _names_numpy_random(ast.parse(code)), code
+    users = {p.name for p in SRC.glob("*.py")
+             if _names_numpy_random(ast.parse(p.read_text(encoding="utf-8")))}
+    assert users <= MAY_NAME_NUMPY_RANDOM
+
+
+RANDOM_STATE_RUNS = """
+import os, sys
+from backstep import cli
+os.chdir(sys.argv[1])
+for argv in (["null-control", "--scale", "32", "--stages", "2", "--trunc", "16", "--y0-random"],
+             ["simulate", "--lambda", "0.5", "--trunc", "8", "--y0-random", "--seed", "5"]):
+    assert cli.main(argv) == 0, argv
+print("numpy.random" in sys.modules)
+"""
+
+
+def test_random_state_runs_leave_numpy_random_unloaded(tmp_path):
+    out = _python(RANDOM_STATE_RUNS, str(tmp_path)).splitlines()
+    assert out[-1] == "False", out
 
 
 CERTIFIES = "transform.py"
@@ -217,11 +274,6 @@ def test_only_the_cli_sets_the_allocator_policy():
 def test_package_import_leaves_the_allocator_alone():
     """After `import backstep` (and of `backstep.cli`) glibc still returns a
     freed working set to the OS; once `cli.main`'s policy is set it keeps it."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
-    run = subprocess.run([sys.executable, "-c", HEAP_PROBE], env=env, capture_output=True,
-                         text=True, timeout=60)
-    assert run.returncode == 0, run.stderr
-    untouched, retained = map(int, run.stdout.split())
+    untouched, retained = map(int, _python(HEAP_PROBE).split())
     assert untouched > 8 * 100, (untouched, retained)     # ~176 pages a block
     assert retained < 50, (untouched, retained)

@@ -347,9 +347,12 @@ def test_lanczos_start_vector_is_cached_and_read_only():
         assert v is transform._start_vector(n) and not v.flags.writeable
         with pytest.raises(ValueError):
             v[0] = 1.0
+        # the plain random.Random(0) formula, whose bytes the README sweep
+        # CSV's sha256 rests on
         rng = random.Random(0)
         fresh = np.array([rng.gauss(0.0, 1.0) for _ in range(n)])
         assert v.tobytes() == (fresh / np.linalg.norm(fresh)).tobytes()
+        assert v.tobytes() == transform.unit_gaussian(n, transform._LANCZOS_SEED).tobytes()
 
 
 def test_inverse_residual_matches_identity_subtraction():
