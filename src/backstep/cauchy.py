@@ -1,9 +1,11 @@
 """Truncated Cauchy matrices and their explicit Lagrange-product inverses.
 
 The transformation core is the matrix C with entries 1/(x_i - x_j - lambda)
-on the nodes x_i = lambda_i.  The differences x_i - x_j are formed once per
-system (`CauchySystem.dx`) and shared by C and the Lagrange products; with
-integer levels they are exact.  The inverse has a closed form (Schechter,
+on the nodes x_i = lambda_i.  Nothing about the nodes depends on lambda: the
+differences x_i - x_j, their reciprocals and whether the nodes are simple
+make one `NodeTable` per (model, N), which every damping of a sweep and
+every stage of a schedule shares (`node_table`); with integer levels the
+differences are exact.  The inverse has a closed form (Schechter,
 "On the inversion of certain matrices", MTAC 13, 1959),
 
     C^-1 = lambda^2 diag(P) C^T diag(Q),
@@ -20,8 +22,7 @@ independent brute-force inversion oracle lives in `backstep.oracles`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -62,19 +63,27 @@ def _row_sums(mat: np.ndarray) -> np.ndarray:
     """`math.fsum` of every row of a real matrix, bit for bit, without a
     Python step per row or per term.
 
-    For a row p of n terms take M = ceil(log2(n + 2)) and sigma = 2^(e + M)
-    with max|p| < 2^e.  Then q = (sigma + p) - sigma and p - q are exact,
+    For a row p of n terms take M = ceil(log2(n + 2)) and a power of two
+    sigma >= 2^M max|p|.  Then q = (sigma + p) - sigma and p - q are exact,
     every q is a multiple of 2^-53 sigma, and |sum q| < sigma; so the sum of
-    the q's is exact in any order, and so is the remainder p <- p - q.  Each
-    pass shrinks the row's largest remainder by at least 2^(52 - M), and the
-    passes stop when every remainder is zero.  The partial sums tau_1,
-    tau_2, ... then add up exactly to the row sum.  When only tau_1 and
-    tau_2 are nonzero, the single addition tau_1 + tau_2 is the correctly
-    rounded sum, which is what fsum returns; otherwise fsum runs over the
-    row's few taus.  A row whose largest term is not finite or is at least
-    2^(1020 - M) is summed by fsum itself, which keeps its OverflowError,
-    ValueError and NaN behaviour.  An exactly zero sum is +0.0, as in fsum.
-    Rows are extracted in blocks of about `_BLOCK_ELEMENTS` terms.
+    the q's is exact in any order, and so is the remainder p <- p - q, which
+    is at most 2^-53 sigma.  The passes take:
+      1. sigma_1 = 2^(e + M) with max|p| < 2^e, from one reduction of |p|;
+      2. sigma_2 = 2^(M - 53) sigma_1, from that bound on the remainders,
+         with no reduction (a power of two, subnormal or 0 once the
+         remainders are below the smallest subnormal, where they are 0);
+      3. and on: sigma from the remainders' row maxima, as in pass 1,
+    and stop when every remainder is zero, so each pass also costs one
+    `any`.  Each pass shrinks the row's largest remainder by at least
+    2^(52 - M).  The partial sums tau_1, tau_2, ... then add up exactly to
+    the row sum.  When only tau_1 and tau_2 are nonzero, the single addition
+    tau_1 + tau_2 is the correctly rounded sum, which is what fsum returns;
+    otherwise fsum runs over the row's few taus.  A row whose largest term
+    is not finite or is at least 2^(1020 - M) is summed by fsum itself,
+    which keeps its OverflowError, ValueError and NaN behaviour.  An exactly
+    zero sum is +0.0, as in fsum.  Rows are extracted in blocks of about
+    `_BLOCK_ELEMENTS` terms; |p| and each sigma + p go into one preallocated
+    block.
     """
     rows, n = mat.shape
     out = np.zeros(rows)
@@ -83,20 +92,26 @@ def _row_sums(mat: np.ndarray) -> np.ndarray:
     m = (n + 1).bit_length()                  # ceil(log2(n + 2))
     limit = math.ldexp(1.0, 1020 - m)         # sigma + p stays below 2^1021
     step = max(1, _BLOCK_ELEMENTS // n)
+    work = np.empty((min(step, rows), n))
     for lo in range(0, rows, step):
         block = out[lo:lo + step]                 # a view: written in place
         p = np.array(mat[lo:lo + step], dtype=float)
-        top = np.maximum(p.max(axis=1), -p.min(axis=1))
+        q = work[:len(p)]
+        top = np.abs(p, out=q).max(axis=1)
         wild = np.flatnonzero(~(top < limit))   # also inf and NaN
         p[wild] = top[wild] = 0.0
         taus = []
-        while top.any():
-            sigma = np.ldexp(1.0, np.frexp(top)[1] + m)[:, None]
-            q = sigma + p
+        while p.any():
+            if len(taus) == 1:      # pass 2: sigma from the bound, exact (a power of two, or 0)
+                sigma *= math.ldexp(1.0, m - 53)
+            else:                   # pass 1, and passes 3 on: sigma from the row maxima
+                if taus:
+                    top = np.abs(p, out=q).max(axis=1)
+                sigma = np.ldexp(1.0, np.frexp(top)[1] + m)[:, None]
+            np.add(sigma, p, out=q)
             q -= sigma
             p -= q
             taus.append(q.sum(axis=1))
-            top = np.maximum(p.max(axis=1), -p.min(axis=1))
         if taus:
             taus = np.array(taus)
             block[:] = taus[:2].sum(axis=0)       # one addition: tau_1 + tau_2
@@ -105,6 +120,42 @@ def _row_sums(mat: np.ndarray) -> np.ndarray:
         for r in wild:
             block[r] = math.fsum(mat[lo + r].tolist())
     return out
+
+
+@dataclass(frozen=True, eq=False)
+class NodeTable:
+    """The lambda-free data of the nodes x_1..x_N, read-only: the differences
+    `dx` = x_i - x_j, their reciprocals `inv_dx` off the diagonal (0 on it,
+    where m = i in a Lagrange product), and `simple`, whether no two nodes
+    coincide.  C and the Lagrange products of every damping read them."""
+    x: np.ndarray
+    dx: np.ndarray
+    inv_dx: np.ndarray
+    simple: bool
+
+    @classmethod
+    def of(cls, x: np.ndarray) -> "NodeTable":
+        x = np.array(x)
+        dx = x[:, None] - x[None, :]
+        off = dx != 0.0
+        # complex division by a zero-imaginary divisor computes a * (1/b), so
+        # every division in the kernel is that reciprocal product: real and
+        # complex nodes round alike
+        inv_dx = np.divide(1.0, dx, out=np.zeros_like(dx), where=off)
+        for a in (x, dx, inv_dx):
+            a.flags.writeable = False
+        return cls(x=x, dx=dx, inv_dx=inv_dx,
+                   simple=bool(dx.size - np.count_nonzero(off) <= x.size))
+
+
+def node_table(model: SpectrumModel, N: int) -> NodeTable:
+    """The node table of the model's first N eigenvalues: built on first use
+    and kept by the model (`SpectrumModel.node_tables`), so it is freed with
+    the model."""
+    table = model.node_tables.get(N)
+    if table is None:
+        table = model.node_tables[N] = NodeTable.of(model.eigenvalues[:N])
+    return table
 
 
 @dataclass(frozen=True)
@@ -116,36 +167,37 @@ class CauchySystem:
     purely imaginary complex128 on a skew-adjoint one.  `min_sep`, when set
     from a distance certificate, guards every divided difference: a node pair
     closer than the certified distance means the certificate is stale.
+    `table` is the nodes' `NodeTable`: the model's own one from `from_model`,
+    or one built here from bare nodes `x`.
     """
     x: np.ndarray
     lam: float
     min_sep: float | None = None
+    table: NodeTable | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if self.table is None:
+            object.__setattr__(self, "table", NodeTable.of(self.x))
 
     @property
     def n(self) -> int:
         return self.x.size
-
-    @cached_property
-    def dx(self) -> np.ndarray:
-        """x_i - x_j, formed once for C and the Lagrange products; read-only."""
-        dx = self.x[:, None] - self.x[None, :]
-        dx.flags.writeable = False
-        return dx
 
     @classmethod
     def from_model(cls, model: SpectrumModel, lam: float, N: int,
                    cert=None) -> "CauchySystem":
         if N < 1 or N > model.n_max:
             raise ValueError(f"truncation N={N} outside [1, {model.n_max}]")
-        return cls(x=model.eigenvalues[:N], lam=float(lam),
-                   min_sep=None if cert is None else cert.dist)
+        table = node_table(model, N)
+        return cls(x=table.x, lam=float(lam),
+                   min_sep=None if cert is None else cert.dist, table=table)
 
 
 def _separations(sys: CauchySystem) -> np.ndarray:
     """(x_i - x_j) - lambda after the resonance and stale-certificate guard.
     On a self-adjoint model these are `dist_alpha`'s own float operations, so
     a valid certificate's distance holds with no slack."""
-    sep = sys.dx - sys.lam
+    sep = sys.table.dx - sys.lam
     dist = np.abs(sep)
     m = float(np.min(dist))
     if m == 0.0:
@@ -185,15 +237,10 @@ def lagrange_products(sys: CauchySystem) -> tuple[np.ndarray, np.ndarray, np.nda
       - other complex nodes: the product of the units f / |f| along rows
         and along columns.
     """
-    dx = sys.dx
-    off = dx != 0.0
-    if dx.size - np.count_nonzero(off) > sys.n:
+    table = sys.table
+    if not table.simple:
         raise ResonanceError("repeated eigenvalue: Lagrange products need simple nodes")
-    # complex division by a zero-imaginary divisor computes a * (1/b), so every
-    # division here is that reciprocal product: real and complex nodes round
-    # alike.  q = 0 on the diagonal (m = i), a neutral factor below.
-    f = np.divide(1.0, dx, out=np.zeros_like(dx), where=off)
-    f *= sys.lam
+    f = np.multiply(table.inv_dx, sys.lam)     # q = 0 on the diagonal: a neutral factor
     f += 1.0
     if np.any(f == 0.0):
         raise ResonanceError("a Lagrange factor vanished: lambda equals lambda_i - lambda_m exactly")

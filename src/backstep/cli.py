@@ -120,6 +120,9 @@ _DEFAULTS = {
                      "out_prefix": "null_control"},
 }
 
+# settings that must be integers; seed is checked on its own
+_INTEGER_KEYS = ("trunc", "stages", "n_base", "n_max", "n_check", "t_steps")
+
 
 def _add_model_flags(p):
     p.add_argument("--model", help="model JSON file (overrides kind/alpha/scale/n-max)")
@@ -224,6 +227,12 @@ def _merge(args) -> dict:
         # float flags and the JSON parser both accept inf and nan
         if isinstance(v, float) and not math.isfinite(v):
             raise ValueError(f"setting {key} must be finite, got {v}")
+    # a JSON float or bool where an integer is due (8.7 would run as 8, true
+    # as 1) is a usage error, as the flags' type=int makes it
+    for key in _INTEGER_KEYS:
+        v = cfg.get(key)
+        if v is not None and type(v) is not int:
+            raise ValueError(f"setting {key} must be an integer, got {v!r}")
     # random.Random would take a negative seed as its absolute value, a float
     # or a bool silently: refuse all three
     seed = cfg.get("seed")
@@ -243,7 +252,7 @@ def _resolve_lambda(model, cfg):
     if cfg.get("lam") is not None:
         lam = float(cfg["lam"])
         return lam, dist_alpha(model, lam).require_nonresonant()
-    mu, cert = select_mu(model, int(cfg["n_base"]))
+    mu, cert = select_mu(model, cfg["n_base"])
     return mu, cert
 
 
@@ -307,7 +316,7 @@ def cmd_cauchy_verify(cfg) -> int:
 
 
 def cmd_synth(cfg) -> int:
-    trunc = int(cfg["trunc"])
+    trunc = cfg["trunc"]
     model = _resolve_model(cfg, n_max_floor=trunc)
     lam, cert = _resolve_lambda(model, cfg)
     synth = assemble(model, lam, trunc, cert)
@@ -319,7 +328,7 @@ def cmd_synth(cfg) -> int:
 def cmd_cost_sweep(cfg) -> int:
     lo, _, hi = str(cfg["n_range"]).partition(":")
     bases = range(int(lo), int(hi or lo) + 1)
-    trunc = int(cfg["trunc"])
+    trunc = cfg["trunc"]
     model = _resolve_model(cfg, n_max_floor=trunc)
     result = cost_sweep(model, bases, trunc)
     sweep_to_csv(result, cfg["out"])
@@ -328,12 +337,12 @@ def cmd_cost_sweep(cfg) -> int:
 
 
 def cmd_simulate(cfg) -> int:
-    trunc = int(cfg["trunc"])
+    trunc = cfg["trunc"]
     model = _resolve_model(cfg, n_max_floor=trunc)
     lam, cert = _resolve_lambda(model, cfg)
     synth = assemble(model, lam, trunc, cert)
     y0 = _initial_state(cfg, trunc)
-    t_steps = int(cfg["t_steps"])
+    t_steps = cfg["t_steps"]
     if t_steps < 0:
         raise ValueError(f"t_steps must be non-negative, got {t_steps}")
     ts = [float(t) for t in np.linspace(0.0, float(cfg["t_max"]), t_steps + 1)]
@@ -345,10 +354,10 @@ def cmd_simulate(cfg) -> int:
 
 
 def cmd_null_control(cfg) -> int:
-    stages = int(cfg["stages"])
+    stages = cfg["stages"]
     if stages < 1:
         raise ValueError("need at least one stage")
-    trunc = int(cfg["trunc"])
+    trunc = cfg["trunc"]
     if cfg.get("model"):
         model = _resolve_model(cfg)
     else:

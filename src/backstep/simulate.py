@@ -48,19 +48,22 @@ def trajectory(synth: BacksteppingSynthesis, y: np.ndarray, ts) -> Iterator[np.n
     """The coefficients of T^-1 diag(e^{(lambda_n - lambda) t}) T y at each time
     of `ts`, in order.
 
-    The inputs are checked before the first state is formed.  T y and the
-    rates lambda_n - lambda are formed once; each time then costs one
-    exponential and one matrix-vector product.  One matrix product over all
-    times would round differently from these products, so there is none.
+    The inputs are checked before the first state is formed.  T y, the
+    rates lambda_n - lambda and every factor e^{(lambda_n - lambda) t} are
+    formed once, the factors by one exponential over the (times x modes)
+    products; each time then costs one matrix-vector product.  One matrix
+    product over all times would round differently from these products, so
+    there is none.
     """
-    ts = [float(t) for t in ts]
-    if any(t < 0 for t in ts):
+    ts = np.array([float(t) for t in ts])
+    if np.any(ts < 0):
         raise ValueError("time must be nonnegative")
     if y.size != synth.N:
         raise ValueError(f"state length {y.size} mismatches truncation {synth.N}")
     w = synth.T_mat @ y
     rate = synth.eigenvalues - synth.lam
-    return (synth.Tinv_mat @ (np.exp(rate * t) * w) for t in ts)
+    decay = np.exp(rate[None, :] * ts[:, None])
+    return (synth.Tinv_mat @ (e * w) for e in decay)
 
 
 def propagate(synth: BacksteppingSynthesis, y: np.ndarray, t: float) -> np.ndarray:
@@ -130,6 +133,8 @@ def build_schedule(model: SpectrumModel, horizon: float, gamma: float, sigma: fl
         raise ValueError(f"gamma must exceed sigma (got gamma={gamma}, sigma={sigma})")
     if n_stages < 1:
         raise ValueError("need at least one stage")
+    if trunc < 1:
+        raise ValueError(f"truncation {trunc} below 1")
     if horizon <= 0:
         raise ValueError("horizon must be positive")
 

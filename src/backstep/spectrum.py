@@ -18,6 +18,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -50,6 +51,12 @@ class SpectrumModel:
         if self.kind is Kind.SELF_ADJOINT:
             return -self.levels
         return -1j * self.levels
+
+    @cached_property
+    def node_tables(self) -> dict:
+        """`cauchy.node_table`'s tables of this model, by truncation N: they
+        live and die with the model."""
+        return {}
 
     def level(self, n: int) -> float:
         """ell_n for arbitrary n >= 1; extends by the power law unless tabulated."""

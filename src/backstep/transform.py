@@ -184,7 +184,7 @@ def assemble(model: SpectrumModel, lam: float, N: int,
     _check_nonzero(kb, "product")
 
     tb = _tb_residuals(cmat, kb)
-    # a reciprocal product, not a division: see cauchy.lagrange_products;
+    # a reciprocal product, not a division: see cauchy.NodeTable.of;
     # T^-1 takes the F order of C^T, and T is formed over C in place
     Tinv = np.multiply((-lam * b)[:, None], cmat.T)
     Tinv *= (q * (1.0 / b))[None, :]

@@ -1,13 +1,18 @@
+import gc
 import math
+import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from backstep.cauchy import (CauchySystem, build_cauchy, csum, explicit_inverse,
-                             format_scalar, lagrange_products)
+from backstep.cauchy import (CauchySystem, NodeTable, build_cauchy, csum, explicit_inverse,
+                             format_scalar, lagrange_products, node_table)
 from backstep.errors import ResonanceError, SingularMatrixError
 from backstep.oracles import LogSignedProduct, oracle_inverse
+from backstep.quantitative import cost_sweep
+from backstep.simulate import build_schedule, run_null_control
 from backstep.spectrum import Kind, dist_alpha, make_spectrum, make_tabulated, select_mu
 
 
@@ -16,9 +21,11 @@ def heat(n_max=64):
 
 
 def test_build_examples():
-    sys2 = CauchySystem.from_model(heat(), 0.5, 2)
-    assert np.array_equal(sys2.x, [-1.0, -4.0]) and np.array_equal(sys2.dx, [[0.0, 3.0], [-3.0, 0.0]])
-    assert not sys2.dx.flags.writeable and sys2.dx is sys2.dx     # formed once, shared
+    model = heat()
+    sys2 = CauchySystem.from_model(model, 0.5, 2)
+    dx = sys2.table.dx
+    assert np.array_equal(sys2.x, [-1.0, -4.0]) and np.array_equal(dx, [[0.0, 3.0], [-3.0, 0.0]])
+    assert not dx.flags.writeable and CauchySystem.from_model(model, 7.5, 2).table.dx is dx
     C = build_cauchy(sys2)
     assert np.allclose(C, [[-2.0, 0.4], [-1 / 3.5, -2.0]])
     assert np.allclose(build_cauchy(CauchySystem.from_model(heat(), 0.5, 1)), [[-2.0]])
@@ -257,6 +264,47 @@ def test_csum_rows_across_blocks_are_fsum_bits(pool, n, seed, cplx):
     assert _csum_rows(mat) == _fsum_rows(mat)
 
 
+_DEEP = st.builds(lambda m, k: math.ldexp(m, 500 - 120 * k),     # 120 binades apart:
+                  st.floats(-1.0, 1.0), st.integers(0, 6))        # three passes and more
+_TINY = st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-1074, -960))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_matrices(_DEEP), _matrices(st.one_of(_DEEP, _SPREAD))))
+def test_csum_rows_past_two_passes_are_fsum_bits(mat):
+    # a term 120 binades below a row's largest is below the second pass's
+    # sigma_2 = 2^(M - 53) sigma_1 bound, so it survives to pass 3, where
+    # sigma comes from the remainders again
+    assert _csum_rows(mat) == _fsum_rows(mat)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_matrices(_TINY), _matrices(st.one_of(_TINY, _SPREAD))))
+def test_csum_rows_with_tiny_second_sigma_are_fsum_bits(mat):
+    # rows whose largest term is below 2^-960 take a subnormal sigma_2, and
+    # below about 2^-1030 one that underflows to 0
+    assert _csum_rows(mat) == _fsum_rows(mat)
+
+
+def test_csum_rows_take_data_sigma_from_pass_three():
+    # np.frexp runs once per pass whose sigma comes from the data: pass 1 and
+    # passes 3 on; pass 2 takes its sigma from the bound.  A subnormal or
+    # vanishing sigma_2 keeps the sum exact.
+    deep = [1.0, 2.0 ** -120, 2.0 ** -240, 2.0 ** -360, -1.0]
+    cases = [([[1.0, 2.0 ** -60, -1.0]], 1),               # pass 2 ends it
+             ([deep], 4),                                  # passes 1, 3, 4 and 5
+             ([[1.0, 3.0, 0.0, 0.0, 0.0], deep], 4),
+             ([[2.0 ** -1000, -2.0 ** -1010, 2.0 ** -1074]], 1),   # sigma_2 subnormal
+             ([[2.0 ** -1040, 5e-324, 0.0], [1.0, 2.0 ** -60, -1.0]], 1)]   # first sigma_2 = 0
+    frexp = np.frexp
+    for rows, data_passes in cases:
+        mat = np.array(rows)
+        calls = []
+        with mock.patch.object(np, "frexp", lambda x: calls.append(1) or frexp(x)):
+            got = _csum_rows(mat)
+        assert got == _fsum_rows(mat) and len(calls) == data_passes, rows
+
+
 def _parse_scalar(text):
     # inverse of format_scalar: "re", "re+imi" or "re-imi"
     if not text.endswith("i"):
@@ -292,7 +340,8 @@ def test_real_nodes_round_like_complex_nodes(model):
     for lam in (0.7, 13.3, 57.1, 99.7):
         real = CauchySystem.from_model(model, lam, 64)
         cplx = _complex_nodes(real)
-        assert np.array_equal(real.x, cplx.x.real) and np.array_equal(real.dx, cplx.dx.real)
+        assert np.array_equal(real.x, cplx.x.real)
+        assert np.array_equal(real.table.dx, cplx.table.dx.real)
         assert np.array_equal(build_cauchy(real), build_cauchy(cplx))
         log_p, sgn_p, log_q, sgn_q = lagrange_products(real)
         c_log_p, c_sgn_p, c_log_q, c_sgn_q = lagrange_products(cplx)
@@ -353,7 +402,7 @@ def test_skew_column_products_conjugate_row_products(alpha, scale):
 def test_self_adjoint_kernel_is_real():
     for model in _node_models():
         sysm = CauchySystem.from_model(model, 3.3, 48)
-        assert sysm.x.dtype == np.float64 and sysm.dx.dtype == np.float64
+        assert sysm.x.dtype == np.float64 and sysm.table.dx.dtype == np.float64
         assert all(p.dtype == np.float64 for p in lagrange_products(sysm))
         assert build_cauchy(sysm).dtype == explicit_inverse(sysm).dtype == np.float64
     sk = CauchySystem.from_model(make_spectrum(Kind.SKEW_ADJOINT, 2.0, 1.0, 8), 1.5, 8)
@@ -370,11 +419,65 @@ def test_repeated_eigenvalue_guard():
         lagrange_products(CauchySystem.from_model(heat(), 0.5, N))
 
 
+def _count_tables(monkeypatch):
+    built = []
+    of = NodeTable.of.__func__
+    monkeypatch.setattr(NodeTable, "of", classmethod(lambda cls, x: built.append(len(x))
+                                                     or of(cls, x)))
+    return built
+
+
+def test_one_node_table_per_model_and_truncation(monkeypatch):
+    # every point of the README sweep and every stage of a schedule shares
+    # the model's table of its truncation
+    built = _count_tables(monkeypatch)
+    model = make_spectrum(Kind.SELF_ADJOINT, 2.0, 1.0, 300)
+    result = cost_sweep(model, range(1, 26), 300)
+    assert len(result.points) == 25 and built == [300]
+    assert list(model.node_tables) == [300]
+    built.clear()
+    for kind in Kind:
+        model = make_spectrum(kind, 2.0, 32.0, 160)
+        sch = build_schedule(model, 1.0, 3.0, 2.5, 10, trunc=48)
+        run_null_control(sch, np.eye(sch.trunc)[0])
+        assert len(sch.stages) == 10 and list(model.node_tables) == [sch.trunc]
+    assert built == [sch.trunc] * 2
+
+
+def test_node_table_is_read_only_and_dies_with_its_model():
+    model = heat()
+    lagrange_products(CauchySystem.from_model(model, 0.5, 16))
+    table = node_table(model, 16)
+    assert table is model.node_tables[16] is CauchySystem.from_model(model, 9.5, 16).table
+    assert all(not a.flags.writeable for a in (table.x, table.dx, table.inv_dx))
+    assert table.simple and np.array_equal(table.x, model.eigenvalues[:16])
+    ref = weakref.ref(table)
+    del table, model
+    gc.collect()
+    assert ref() is None
+
+
+def test_bare_nodes_build_their_own_table():
+    model = heat()
+    x = model.eigenvalues[:8]
+    sysm = CauchySystem(x=x, lam=0.5)
+    dx = x[:, None] - x[None, :]
+    assert np.array_equal(sysm.table.x, x) and np.array_equal(sysm.table.dx, dx)
+    inv = np.divide(1.0, dx, out=np.zeros_like(dx), where=dx != 0.0)
+    assert sysm.table.inv_dx.tobytes() == inv.tobytes()
+    assert model.node_tables == {}           # the model's own tables are untouched
+    assert CauchySystem(x=x, lam=0.5).table is not sysm.table
+    ref = CauchySystem.from_model(model, 0.5, 8)
+    for a, b in zip(lagrange_products(sysm), lagrange_products(ref)):
+        assert a.tobytes() == b.tobytes()
+    assert not CauchySystem(x=np.array([-1.0, -1.0, -4.0]), lam=0.5).table.simple
+
+
 def _two_pass_lagrange_products(sysm):
     """Reference: the products from two factor matrices, 1 + q and 1 - q,
     each reduced along its rows; a real row's sign is the parity of its
     negative factors, a complex row's the product of its units."""
-    dx = sysm.dx
+    dx = sysm.x[:, None] - sysm.x[None, :]
     q = sysm.lam * np.divide(1.0, dx, out=np.zeros_like(dx), where=dx != 0.0)
 
     def rows(factors):

@@ -232,6 +232,16 @@ def test_null_control_zero_stages_exits_2(tmp_path):
     assert run(tmp_path, "null-control", "--scale", "32", "--stages", "0") == 2
 
 
+@pytest.mark.parametrize("trunc", ["0", "-5"])
+def test_null_control_truncation_below_one_exits_2(tmp_path, capsys, trunc):
+    # as in synth, simulate and cost-sweep; the schedule would otherwise run
+    # at stage_truncation's 4 ceil(lambda^(1/alpha)) modes
+    assert run(tmp_path, "null-control", "--scale", "32", "--stages", "2",
+               "--trunc", trunc) == 2
+    assert f"truncation {trunc} below 1" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_null_control_bad_sigma_exits_2(tmp_path):
     assert run(tmp_path, "null-control", "--scale", "32", "--stages", "2",
                "--sigma", "1.5") == 2
@@ -342,6 +352,23 @@ def test_config_seed_must_be_a_non_negative_integer(tmp_path, capsys, seed):
     for command in ("simulate", "null-control"):
         assert run(tmp_path, command, "--config", "cfg.json", "--trunc", "8") == 2
         assert "seed must be a non-negative integer" in capsys.readouterr().err
+    assert [f.name for f in tmp_path.iterdir()] == ["cfg.json"]     # nothing written
+
+
+@pytest.mark.parametrize("key,argv", [
+    ("trunc", ("synth", "--lambda", "0.5")),
+    ("stages", ("null-control", "--scale", "32", "--trunc", "16")),
+    ("n_base", ("synth", "--trunc", "8")),
+    ("n_max", ("synth", "--lambda", "0.5", "--trunc", "8")),
+    ("n_check", ("spectrum-check",)),
+    ("t_steps", ("simulate", "--lambda", "0.5", "--trunc", "8")),
+])
+@pytest.mark.parametrize("value", [8.7, 40.0, True])
+def test_config_integer_settings_refuse_floats_and_bools(tmp_path, capsys, key, argv, value):
+    # int() would run 8.7 as 8 and true as 1; the flags refuse 8.7 already
+    (tmp_path / "cfg.json").write_text(json.dumps({key: value}))
+    assert run(tmp_path, *argv, "--config", "cfg.json") == 2
+    assert f"setting {key} must be an integer, got {value!r}" in capsys.readouterr().err
     assert [f.name for f in tmp_path.iterdir()] == ["cfg.json"]     # nothing written
 
 

@@ -4,9 +4,10 @@
 `cauchy-verify`) may import it, so `import backstep` does not load it, and
 neither the package root nor a runtime module keeps a copy or an alias of
 what lives there, the closed-loop checks included.  The TB = B certification
-lives in `transform` alone, the allocator policy in `cli` alone, and no
-runtime module draws from numpy's random module.  Names, fields and
-parameters that no command reads stay deleted.
+lives in `transform` alone, the allocator policy in `cli` alone, the node
+differences in `cauchy`'s node table alone, and no runtime module draws from
+numpy's random module.  Names, fields and parameters that no command reads
+stay deleted.
 """
 
 import ast
@@ -277,3 +278,70 @@ def test_package_import_leaves_the_allocator_alone():
     untouched, retained = map(int, _python(HEAP_PROBE).split())
     assert untouched > 8 * 100, (untouched, retained)     # ~176 pages a block
     assert retained < 50, (untouched, retained)
+
+
+# (module, function) that may form an outer difference a[:, None] - a[None, :]:
+# the node table, and the gap report's level differences (levels, not nodes)
+MAY_FORM_PAIRWISE_DIFFERENCES = {("cauchy.py", "of"), ("spectrum.py", "verify_gaps")}
+
+
+def _is_column(node: ast.AST, first) -> bool:
+    """`a[:, None]` (first=slice) or `a[None, :]` (first=None)."""
+    if not (isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Tuple)
+            and len(node.slice.elts) == 2):
+        return False
+    kinds = [isinstance(e, ast.Slice) for e in node.slice.elts]
+    return kinds == ([True, False] if first is slice else [False, True])
+
+
+def _is_outer_difference(node: ast.AST) -> bool:
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub):
+        return (_is_column(node.left, slice) and _is_column(node.right, None) or
+                _is_column(node.left, None) and _is_column(node.right, slice))
+    return isinstance(node, ast.Attribute) and node.attr == "outer" and \
+        isinstance(node.value, ast.Attribute) and node.value.attr == "subtract"
+
+
+def _pairwise_differences(tree: ast.AST, where: str = "<module>") -> set[str]:
+    """Names of the innermost functions that form outer differences, by
+    broadcasting or by `subtract.outer`."""
+    found = set()
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found |= _pairwise_differences(node, node.name)
+        else:
+            if _is_outer_difference(node):
+                found.add(where)
+            found |= _pairwise_differences(node, where)
+    return found
+
+
+def test_node_differences_come_from_the_node_table():
+    """The differences x_i - x_j are formed once per (model, N), in
+    `cauchy.NodeTable.of`; no other runtime function forms pairwise
+    differences of nodes, and `lagrange_products` forms no reciprocal of
+    them: it calls no divide, and its one division is the complex path's
+    1 / |f| for the unit signs."""
+    for code in ("def f(x): return x[:, None] - x[None, :]",
+                 "def f(x): return np.abs(x[None, :] - x[:, None] - lam)",
+                 "def f(x): return np.subtract.outer(x, x)"):
+        assert _pairwise_differences(ast.parse(code)) == {"f"}, code
+    for code in ("def f(w, m): return w[:, None] * m * (1.0 / w)[None, :]",
+                 "def f(x): return x[:, None] - 1.0"):
+        assert _pairwise_differences(ast.parse(code)) == set(), code
+    assert _pairwise_differences(ast.parse("d = x[:, None] - x[None, :]")) == {"<module>"}
+    runtime = [p for p in SRC.glob("*.py") if p.name != "oracles.py"]
+    formers = {(p.name, name) for p in runtime
+               for name in _pairwise_differences(ast.parse(p.read_text(encoding="utf-8")))}
+    assert formers == MAY_FORM_PAIRWISE_DIFFERENCES
+
+    tree = ast.parse((SRC / "cauchy.py").read_text(encoding="utf-8"))
+    (kernel,) = [n for n in ast.walk(tree)
+                 if isinstance(n, ast.FunctionDef) and n.name == "lagrange_products"]
+    divides = [n.func.attr for n in ast.walk(kernel) if isinstance(n, ast.Call)
+               and isinstance(n.func, ast.Attribute)
+               and n.func.attr in ("divide", "true_divide", "reciprocal")]
+    divisors = [ast.unparse(n.right if isinstance(n, ast.BinOp) else n.value)
+                for n in ast.walk(kernel)
+                if isinstance(n, (ast.BinOp, ast.AugAssign)) and isinstance(n.op, ast.Div)]
+    assert divides == [] and divisors == ["logs"]
