@@ -17,6 +17,7 @@ import math
 import os
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,12 +46,11 @@ def main(argv=None) -> int:
         parser.print_help()
         return 2
     try:
-        cfg = _merge(args)
-        return args.handler(cfg)
+        return args.handler(_merge(args))
     except MathGuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -97,39 +97,29 @@ def _retain_heap() -> None:
 # ---------------------------------------------------------------------------
 # argument plumbing
 
-_MODEL_DEFAULTS = {"model": None, "kind": "self_adjoint", "alpha": 2.0,
-                   "scale": 1.0, "n_max": None}
+class _Setting(NamedTuple):
+    type: type                     # int, float, str or bool
+    help: str | None = None
+    choices: tuple[str, ...] | None = None
 
-_DEFAULTS = {
-    "spectrum-check": {**_MODEL_DEFAULTS, "n_max": 200, "n_check": None,
-                       "out": "gap_report.json"},
-    "cauchy-verify": {**_MODEL_DEFAULTS, "sizes": "2,4,8,16,32,64", "lam": None,
-                      "n_base": 1, "out": "cauchy_verify.csv"},
-    "synth": {**_MODEL_DEFAULTS, "lam": None, "n_base": 1, "trunc": 32,
-              "out": "synthesis.json"},
-    "cost-sweep": {**_MODEL_DEFAULTS, "n_range": "1:25", "trunc": 300,
-                   "out": "cost_sweep.csv"},
-    "simulate": {**_MODEL_DEFAULTS, "lam": None, "n_base": 1, "trunc": 32,
-                 "y0_modes": "1", "y0_file": None, "y0_random": False, "seed": 0,
-                 "s_weight": 0.0, "t_max": 10.0, "t_steps": 50,
-                 "out": "trajectory.csv"},
-    "null-control": {**_MODEL_DEFAULTS, "gamma": 3.0, "sigma": 2.5, "horizon": 1.0,
-                     "stages": 6, "trunc": 48, "y0_modes": "1,2", "y0_file": None,
-                     "y0_random": False, "seed": 0, "s_weight": 0.0,
-                     "growth_c_hat": None, "growth_C_hat": 10.0,
-                     "out_prefix": "null_control"},
+
+# every setting of every command, by its config key; its flag is --key with
+# dashes for underscores, except lam's --lambda
+_SETTINGS = {
+    **dict.fromkeys(("alpha", "scale", "lam", "gamma", "sigma", "horizon", "s_weight", "t_max",
+                     "growth_c_hat", "growth_C_hat"), _Setting(float)),
+    **dict.fromkeys(("n_max", "n_check", "trunc", "stages", "t_steps"), _Setting(int)),
+    **dict.fromkeys(("out", "out_prefix"), _Setting(str)),
+    "y0_random": _Setting(bool),
+    "kind": _Setting(str, choices=tuple(k.value for k in Kind)),
+    "model": _Setting(str, "model JSON file (overrides kind/alpha/scale/n-max)"),
+    "sizes": _Setting(str, "comma-separated truncations"),
+    "n_range": _Setting(str, "inclusive range lo:hi"),
+    "n_base": _Setting(int, "certified damping near this N"),
+    "y0_modes": _Setting(str, "comma-separated mode indices, unit mix"),
+    "y0_file": _Setting(str, "JSON list of coefficients"),
+    "seed": _Setting(int, "non-negative integer seed of --y0-random's draw (Python's random.Random)"),
 }
-
-# settings that must be integers; seed is checked on its own
-_INTEGER_KEYS = ("trunc", "stages", "n_base", "n_max", "n_check", "t_steps")
-
-
-def _add_model_flags(p):
-    p.add_argument("--model", help="model JSON file (overrides kind/alpha/scale/n-max)")
-    p.add_argument("--kind", choices=[k.value for k in Kind])
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--scale", type=float)
-    p.add_argument("--n-max", dest="n_max", type=int)
 
 
 @functools.cache
@@ -138,79 +128,27 @@ def _build_parser() -> argparse.ArgumentParser:
     state between calls, since each call fills a fresh namespace."""
     root = argparse.ArgumentParser(prog="backstep", description=__doc__)
     sub = root.add_subparsers(dest="command")
-
-    p = sub.add_parser("spectrum-check", help="validate eigenvalue gap estimates")
-    _add_model_flags(p)
-    p.add_argument("--n-check", dest="n_check", type=int)
-    p.add_argument("--out")
-    p.set_defaults(handler=cmd_spectrum_check, command="spectrum-check")
-
-    p = sub.add_parser("cauchy-verify", help="explicit inverse vs dense oracle over a size grid")
-    _add_model_flags(p)
-    p.add_argument("--sizes", help="comma-separated truncations")
-    p.add_argument("--lambda", dest="lam", type=float)
-    p.add_argument("--n-base", dest="n_base", type=int, help="certified damping near this N")
-    p.add_argument("--out")
-    p.set_defaults(handler=cmd_cauchy_verify, command="cauchy-verify")
-
-    p = sub.add_parser("synth", help="assemble a synthesis and export it as JSON")
-    _add_model_flags(p)
-    p.add_argument("--lambda", dest="lam", type=float)
-    p.add_argument("--n-base", dest="n_base", type=int)
-    p.add_argument("--trunc", type=int)
-    p.add_argument("--out")
-    p.set_defaults(handler=cmd_synth, command="synth")
-
-    p = sub.add_parser("cost-sweep", help="norm/gain sweep along certified damping parameters")
-    _add_model_flags(p)
-    p.add_argument("--n-range", dest="n_range", help="inclusive range lo:hi")
-    p.add_argument("--trunc", type=int)
-    p.add_argument("--out")
-    p.set_defaults(handler=cmd_cost_sweep, command="cost-sweep")
-
-    p = sub.add_parser("simulate", help="closed-loop trajectory at one damping parameter")
-    _add_model_flags(p)
-    p.add_argument("--lambda", dest="lam", type=float)
-    p.add_argument("--n-base", dest="n_base", type=int)
-    p.add_argument("--trunc", type=int)
-    _add_state_flags(p)
-    p.add_argument("--t-max", dest="t_max", type=float)
-    p.add_argument("--t-steps", dest="t_steps", type=int)
-    p.add_argument("--out")
-    p.set_defaults(handler=cmd_simulate, command="simulate")
-
-    p = sub.add_parser("null-control", help="piecewise-feedback null-control schedule")
-    _add_model_flags(p)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--sigma", type=float)
-    p.add_argument("--horizon", type=float)
-    p.add_argument("--stages", type=int)
-    p.add_argument("--trunc", type=int)
-    _add_state_flags(p)
-    p.add_argument("--growth-c-hat", dest="growth_c_hat", type=float)
-    p.add_argument("--growth-C-hat", dest="growth_C_hat", type=float)
-    p.add_argument("--out-prefix", dest="out_prefix")
-    p.set_defaults(handler=cmd_null_control, command="null-control")
-
-    for sp in sub.choices.values():
-        sp.add_argument("--config", help="JSON config; explicit flags override it")
+    for command, (handler, help_text, defaults) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for key in defaults:
+            s = _SETTINGS[key]
+            flag = "--lambda" if key == "lam" else "--" + key.replace("_", "-")
+            kw = (dict(action="store_const", const=True) if s.type is bool
+                  else dict(type=s.type, choices=s.choices))
+            p.add_argument(flag, dest=key, help=s.help, **kw)
+        p.add_argument("--config", help="JSON config; explicit flags override it")
+        p.set_defaults(handler=handler, command=command)
     return root
 
 
-def _add_state_flags(p):
-    p.add_argument("--y0-modes", dest="y0_modes", help="comma-separated mode indices, unit mix")
-    p.add_argument("--y0-file", dest="y0_file", help="JSON list of coefficients")
-    p.add_argument("--y0-random", dest="y0_random", action="store_const", const=True)
-    p.add_argument("--seed", type=int,
-                   help="non-negative integer seed of --y0-random's draw (Python's random.Random)")
-    p.add_argument("--s-weight", dest="s_weight", type=float)
-
-
 def _merge(args) -> dict:
-    cfg = dict(_DEFAULTS[args.command])
-    config_path = getattr(args, "config", None)
-    if config_path:
-        loaded = json.loads(Path(config_path).read_text(encoding="utf-8"))
+    """The command's settings: its defaults, overridden by the config file,
+    overridden by the flags; each value checked against its type."""
+    cfg = dict(_COMMANDS[args.command][2])
+    if args.config:
+        loaded = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        if not isinstance(loaded, dict):
+            raise ValueError(f"config file {args.config} must hold a JSON object")
         unknown = set(loaded) - set(cfg)
         if unknown:
             raise ValueError(f"unknown config keys for {args.command}: {sorted(unknown)}")
@@ -220,25 +158,31 @@ def _merge(args) -> dict:
             raise ValueError(f"config keys for {args.command} must not be null: {nulls}")
         cfg.update(loaded)
     for key in cfg:
-        v = getattr(args, key, None)
+        v = getattr(args, key)
         if v is not None:
             cfg[key] = v
-    for key, v in cfg.items():
-        # float flags and the JSON parser both accept inf and nan
-        if isinstance(v, float) and not math.isfinite(v):
-            raise ValueError(f"setting {key} must be finite, got {v}")
-    # a JSON float or bool where an integer is due (8.7 would run as 8, true
-    # as 1) is a usage error, as the flags' type=int makes it
-    for key in _INTEGER_KEYS:
-        v = cfg.get(key)
-        if v is not None and type(v) is not int:
-            raise ValueError(f"setting {key} must be an integer, got {v!r}")
-    # random.Random would take a negative seed as its absolute value, a float
-    # or a bool silently: refuse all three
-    seed = cfg.get("seed")
-    if seed is not None and (type(seed) is not int or seed < 0):
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-    return cfg
+    return {key: v if v is None else _typed(key, v) for key, v in cfg.items()}
+
+
+_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string", bool: "true or false"}
+
+
+def _typed(key: str, v):
+    """`v` as setting `key`'s type, or a usage error: a JSON 8.7 or true where
+    an integer is due would run as 8 or 1, and "2" where a number is due would
+    fail deep inside a handler."""
+    want = _SETTINGS[key].type
+    # random.Random would take a negative seed as its absolute value
+    if key == "seed" and (type(v) is not int or v < 0):
+        raise ValueError(f"seed must be a non-negative integer, got {v!r}")
+    if want is float and type(v) is int:
+        v = float(v) if abs(v) <= sys.float_info.max else math.inf    # past the float range
+    if type(v) is not want:
+        raise ValueError(f"setting {key} must be {_TYPE_NAMES[want]}, got {v!r}")
+    # float flags and the JSON parser both accept inf and nan
+    if want is float and not math.isfinite(v):
+        raise ValueError(f"setting {key} must be finite, got {v}")
+    return v
 
 
 def _resolve_model(cfg, n_max_floor: int = 2):
@@ -250,10 +194,8 @@ def _resolve_model(cfg, n_max_floor: int = 2):
 
 def _resolve_lambda(model, cfg):
     if cfg.get("lam") is not None:
-        lam = float(cfg["lam"])
-        return lam, dist_alpha(model, lam).require_nonresonant()
-    mu, cert = select_mu(model, cfg["n_base"])
-    return mu, cert
+        return cfg["lam"], dist_alpha(model, cfg["lam"]).require_nonresonant()
+    return select_mu(model, cfg["n_base"])
 
 
 def _initial_state(cfg, n):
@@ -270,7 +212,7 @@ def _initial_state(cfg, n):
     elif cfg.get("y0_random"):
         y = unit_gaussian(n, cfg["seed"])
     else:
-        modes = [int(tok) for tok in str(cfg["y0_modes"]).split(",") if tok.strip()]
+        modes = [int(tok) for tok in cfg["y0_modes"].split(",") if tok.strip()]
         if not modes or any(m < 1 or m > n for m in modes):
             raise ValueError(f"y0 modes {modes} outside 1..{n}")
         y = np.zeros(n)
@@ -292,7 +234,7 @@ def cmd_spectrum_check(cfg) -> int:
 
 
 def cmd_cauchy_verify(cfg) -> int:
-    sizes = [int(tok) for tok in str(cfg["sizes"]).split(",") if tok.strip()]
+    sizes = [int(tok) for tok in cfg["sizes"].split(",") if tok.strip()]
     if not sizes:
         raise ValueError("empty size grid")
     model = _resolve_model(cfg, n_max_floor=max(sizes))
@@ -326,7 +268,7 @@ def cmd_synth(cfg) -> int:
 
 
 def cmd_cost_sweep(cfg) -> int:
-    lo, _, hi = str(cfg["n_range"]).partition(":")
+    lo, _, hi = cfg["n_range"].partition(":")
     bases = range(int(lo), int(hi or lo) + 1)
     trunc = cfg["trunc"]
     model = _resolve_model(cfg, n_max_floor=trunc)
@@ -345,8 +287,8 @@ def cmd_simulate(cfg) -> int:
     t_steps = cfg["t_steps"]
     if t_steps < 0:
         raise ValueError(f"t_steps must be non-negative, got {t_steps}")
-    ts = [float(t) for t in np.linspace(0.0, float(cfg["t_max"]), t_steps + 1)]
-    weights = s_weights(model, trunc, float(cfg["s_weight"]))
+    ts = [float(t) for t in np.linspace(0.0, cfg["t_max"], t_steps + 1)]
+    weights = s_weights(model, trunc, cfg["s_weight"])
     rows = trajectory_rows(synth, weights, ts, trajectory(synth, y0, ts))
     write_trajectory_csv(rows, cfg["out"])
     print(f"trajectory lambda={lam} -> {cfg['out']}")
@@ -358,20 +300,15 @@ def cmd_null_control(cfg) -> int:
     if stages < 1:
         raise ValueError("need at least one stage")
     trunc = cfg["trunc"]
-    if cfg.get("model"):
-        model = _resolve_model(cfg)
-    else:
-        # materialize enough modes for the deepest stage before building
-        lam_hi = float(stages) ** float(cfg["gamma"]) + float(cfg["scale"]) + 1.0
-        need = stage_truncation(trunc, lam_hi, float(cfg["alpha"]))
-        model = make_spectrum(cfg["kind"], cfg["alpha"], cfg["scale"],
-                              max(cfg.get("n_max") or 0, need))
-    schedule = build_schedule(model, float(cfg["horizon"]), float(cfg["gamma"]),
-                              float(cfg["sigma"]), stages, trunc)
+    # materialize enough modes for the deepest stage before building; a model
+    # file brings its own
+    need = 2 if cfg.get("model") else stage_truncation(
+        trunc, stages ** cfg["gamma"] + cfg["scale"] + 1.0, cfg["alpha"])
+    model = _resolve_model(cfg, n_max_floor=need)
+    schedule = build_schedule(model, cfg["horizon"], cfg["gamma"], cfg["sigma"], stages, trunc)
     y0 = _initial_state(cfg, schedule.trunc)
-    report = run_null_control(schedule, y0, float(cfg["s_weight"]),
-                              growth_c_hat=cfg.get("growth_c_hat"),
-                              growth_C_hat=float(cfg["growth_C_hat"]))
+    report = run_null_control(schedule, y0, cfg["s_weight"], growth_c_hat=cfg["growth_c_hat"],
+                              growth_C_hat=cfg["growth_C_hat"])
     prefix = cfg["out_prefix"]
     traj_path = f"{prefix}_trajectory.csv"
     write_trajectory_csv(report.samples, traj_path)
@@ -382,6 +319,34 @@ def cmd_null_control(cfg) -> int:
     print(f"null control: {stages} stages, final ratio {report.final_ratio:.3e} "
           f"-> {traj_path}, {prefix}_manifest.json")
     return 0
+
+
+_MODEL_DEFAULTS = {"model": None, "kind": "self_adjoint", "alpha": 2.0,
+                   "scale": 1.0, "n_max": None}
+
+# each command's handler, help line and settings with their defaults
+_COMMANDS = {
+    "spectrum-check": (cmd_spectrum_check, "validate eigenvalue gap estimates",
+                       {**_MODEL_DEFAULTS, "n_max": 200, "n_check": None,
+                        "out": "gap_report.json"}),
+    "cauchy-verify": (cmd_cauchy_verify, "explicit inverse vs dense oracle over a size grid",
+                      {**_MODEL_DEFAULTS, "sizes": "2,4,8,16,32,64", "lam": None, "n_base": 1,
+                       "out": "cauchy_verify.csv"}),
+    "synth": (cmd_synth, "assemble a synthesis and export it as JSON",
+              {**_MODEL_DEFAULTS, "lam": None, "n_base": 1, "trunc": 32,
+               "out": "synthesis.json"}),
+    "cost-sweep": (cmd_cost_sweep, "norm/gain sweep along certified damping parameters",
+                   {**_MODEL_DEFAULTS, "n_range": "1:25", "trunc": 300, "out": "cost_sweep.csv"}),
+    "simulate": (cmd_simulate, "closed-loop trajectory at one damping parameter",
+                 {**_MODEL_DEFAULTS, "lam": None, "n_base": 1, "trunc": 32, "y0_modes": "1",
+                  "y0_file": None, "y0_random": False, "seed": 0, "s_weight": 0.0,
+                  "t_max": 10.0, "t_steps": 50, "out": "trajectory.csv"}),
+    "null-control": (cmd_null_control, "piecewise-feedback null-control schedule",
+                     {**_MODEL_DEFAULTS, "gamma": 3.0, "sigma": 2.5, "horizon": 1.0, "stages": 6,
+                      "trunc": 48, "y0_modes": "1,2", "y0_file": None, "y0_random": False,
+                      "seed": 0, "s_weight": 0.0, "growth_c_hat": None, "growth_C_hat": 10.0,
+                      "out_prefix": "null_control"}),
+}
 
 
 if __name__ == "__main__":

@@ -216,9 +216,10 @@ def run_null_control(schedule: NullControlSchedule, y0: np.ndarray, s_weight: fl
     y = y0
     records = []
     samples = []
+    n_out = float(np.linalg.norm(y0))
     for st in schedule.stages:
         synth = stage_synthesis(schedule, st)
-        n_in = float(np.linalg.norm(y))
+        n_in = n_out               # each stage starts from the state the last one left
         taus = [st.delta * q / _SAMPLES_PER_STAGE for q in range(_SAMPLES_PER_STAGE)]
         *states, y = trajectory(synth, y, taus + [st.delta])
         rows = trajectory_rows(synth, weights, [st.t_start + tau for tau in taus], states)
@@ -237,11 +238,10 @@ def run_null_control(schedule: NullControlSchedule, y0: np.ndarray, s_weight: fl
                                    contraction_log=contraction, max_u=max_u))
         # release this stage's matrices before the next stage is assembled
         del synth
-    n_end = float(np.linalg.norm(y))
-    samples.append((schedule.t_end, n_end, float(np.linalg.norm(weights * y)), 0.0 + 0.0j))
-    n_0 = float(np.linalg.norm(y0))
+    last, n_0 = records[-1], records[0].norm_in
+    samples.append((schedule.t_end, last.norm_out, last.norm_out_weighted, 0.0 + 0.0j))
     return NullControlReport(records=tuple(records),
-                             final_ratio=n_end / n_0 if n_0 > 0 else 0.0,
+                             final_ratio=last.norm_out / n_0 if n_0 > 0 else 0.0,
                              samples=tuple(samples))
 
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import re
@@ -275,19 +276,71 @@ def test_null_config_value_exits_2(tmp_path, capsys, key, argv):
     assert f"must not be null: ['{key}']" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key,argv", [
-    ("lam", ("synth", "--lambda", "inf", "--trunc", "8")),
-    ("gamma", ("null-control", "--scale", "32", "--stages", "2", "--sigma", "inf",
-               "--gamma", "inf")),
-    ("t_max", ("simulate", "--lambda", "0.5", "--trunc", "8", "--t-max", "nan")),
-    ("horizon", ("null-control", "--scale", "32", "--stages", "2", "--horizon", "inf")),
-    ("alpha", ("cost-sweep", "--n-range", "1:2", "--trunc", "40", "--alpha", "inf")),
-    ("scale", ("synth", "--lambda", "0.5", "--trunc", "8", "--config", "cfg.json")),
-])
-def test_non_finite_setting_exits_2(tmp_path, capsys, key, argv):
-    (tmp_path / "cfg.json").write_text(json.dumps({"scale": -float("inf")}))   # -Infinity
+NEG_INF_SCALE = json.dumps({"scale": -float("inf")})      # -Infinity
+
+BAD_SETTINGS = [
+    ("lam", ("synth", "--lambda", "inf", "--trunc", "8"), NEG_INF_SCALE, "setting lam must be finite"),
+    ("gamma", ("null-control", "--scale", "32", "--stages", "2", "--sigma", "inf", "--gamma", "inf"),
+     NEG_INF_SCALE, "setting gamma must be finite"),
+    ("t_max", ("simulate", "--lambda", "0.5", "--trunc", "8", "--t-max", "nan"), NEG_INF_SCALE,
+     "setting t_max must be finite"),
+    ("horizon", ("null-control", "--scale", "32", "--stages", "2", "--horizon", "inf"), NEG_INF_SCALE,
+     "setting horizon must be finite"),
+    ("alpha", ("cost-sweep", "--n-range", "1:2", "--trunc", "40", "--alpha", "inf"), NEG_INF_SCALE,
+     "setting alpha must be finite"),
+    ("scale", ("synth", "--lambda", "0.5", "--trunc", "8", "--config", "cfg.json"), NEG_INF_SCALE,
+     "setting scale must be finite"),
+    # a JSON integer past the float range is no finite number either
+    ("gamma", ("null-control", "--scale", "32", "--stages", "2", "--config", "cfg.json"),
+     '{"gamma": 1' + "0" * 400 + "}", "setting gamma must be finite, got inf"),
+    # each value has its setting's type: these used to end in a traceback
+    # (exit 1) or run as something else (true as lambda 1.0, "no" as a random
+    # state, 3 as the range 3:3)
+    ("alpha", ("synth", "--lambda", "0.5", "--trunc", "8", "--config", "cfg.json"), '{"alpha": "2"}',
+     "setting alpha must be a number, got '2'"),
+    ("alpha", ("null-control", "--config", "cfg.json"), '{"alpha": "2"}',
+     "setting alpha must be a number, got '2'"),
+    ("scale", ("cost-sweep", "--n-range", "1:2", "--trunc", "40", "--config", "cfg.json"),
+     '{"scale": "1"}', "setting scale must be a number, got '1'"),
+    ("scale", ("null-control", "--config", "cfg.json"), '{"scale": "1"}',
+     "setting scale must be a number, got '1'"),
+    ("growth_c_hat", ("null-control", "--scale", "32", "--stages", "2", "--config", "cfg.json"),
+     '{"growth_c_hat": "1"}', "setting growth_c_hat must be a number, got '1'"),
+    ("lam", ("synth", "--trunc", "8", "--config", "cfg.json"), '{"lam": true}',
+     "setting lam must be a number, got True"),
+    ("out", ("synth", "--lambda", "0.5", "--trunc", "8", "--config", "cfg.json"), '{"out": 5}',
+     "setting out must be a string, got 5"),
+    ("model", ("synth", "--lambda", "0.5", "--trunc", "8", "--config", "cfg.json"), '{"model": 5}',
+     "setting model must be a string, got 5"),
+    ("y0_file", ("simulate", "--lambda", "0.5", "--trunc", "8", "--config", "cfg.json"),
+     '{"y0_file": 3}', "setting y0_file must be a string, got 3"),
+    ("y0_random", ("simulate", "--lambda", "0.5", "--trunc", "8", "--config", "cfg.json"),
+     '{"y0_random": "no"}', "setting y0_random must be true or false, got 'no'"),
+    ("n_range", ("cost-sweep", "--trunc", "40", "--config", "cfg.json"), '{"n_range": 3}',
+     "setting n_range must be a string, got 3"),
+    ("sizes", ("cauchy-verify", "--config", "cfg.json"), '{"sizes": 4}',
+     "setting sizes must be a string, got 4"),
+    # a config document that is not an object: 5 and null used to end in a
+    # traceback, "abc" to be read as the keys a, b and c
+    ("config", ("synth", "--lambda", "0.5", "--config", "cfg.json"), "5",
+     "config file cfg.json must hold a JSON object"),
+    ("config", ("synth", "--lambda", "0.5", "--config", "cfg.json"), "null",
+     "config file cfg.json must hold a JSON object"),
+    ("config", ("synth", "--lambda", "0.5", "--config", "cfg.json"), '"abc"',
+     "config file cfg.json must hold a JSON object"),
+    ("config", ("null-control", "--config", "cfg.json"), "[1, 2]",
+     "config file cfg.json must hold a JSON object"),
+]
+
+
+@pytest.mark.parametrize("key,argv,config,reason", BAD_SETTINGS,
+                         ids=[f"{case[0]}-argv{i}" for i, case in enumerate(BAD_SETTINGS)])
+def test_non_finite_setting_exits_2(tmp_path, capsys, key, argv, config, reason):
+    # a non-finite or wrong-typed setting, in a flag or a config file, is a
+    # usage error; so is a config document that is not a JSON object
+    (tmp_path / "cfg.json").write_text(config)
     assert run(tmp_path, *argv) == 2
-    assert f"setting {key} must be finite" in capsys.readouterr().err
+    assert reason in capsys.readouterr().err
     assert [f.name for f in tmp_path.iterdir()] == ["cfg.json"]     # nothing written
 
 
@@ -395,6 +448,51 @@ def test_parser_is_built_once_and_keeps_no_values(tmp_path):
     assert run(tmp_path, "synth", "--lambda", "0.5", "--out", "b.json") == 0
     assert json.loads((tmp_path / "a.json").read_text())["N"] == 8
     assert json.loads((tmp_path / "b.json").read_text())["N"] == 32     # the default again
+
+
+MODEL_FLAGS = [("--model", "model", None), ("--kind", "kind", "self_adjoint"),
+               ("--alpha", "alpha", 2.0), ("--scale", "scale", 1.0), ("--n-max", "n_max", None)]
+STATE_FLAGS = [("--y0-file", "y0_file", None), ("--y0-random", "y0_random", False),
+               ("--seed", "seed", 0), ("--s-weight", "s_weight", 0.0)]
+
+# each subcommand's flags in --help order, with their dests and defaults;
+# every subcommand also takes --config
+CLI_SURFACE = {
+    "spectrum-check": [*MODEL_FLAGS[:4], ("--n-max", "n_max", 200), ("--n-check", "n_check", None),
+                       ("--out", "out", "gap_report.json")],
+    "cauchy-verify": [*MODEL_FLAGS, ("--sizes", "sizes", "2,4,8,16,32,64"), ("--lambda", "lam", None),
+                      ("--n-base", "n_base", 1), ("--out", "out", "cauchy_verify.csv")],
+    "synth": [*MODEL_FLAGS, ("--lambda", "lam", None), ("--n-base", "n_base", 1),
+              ("--trunc", "trunc", 32), ("--out", "out", "synthesis.json")],
+    "cost-sweep": [*MODEL_FLAGS, ("--n-range", "n_range", "1:25"), ("--trunc", "trunc", 300),
+                   ("--out", "out", "cost_sweep.csv")],
+    "simulate": [*MODEL_FLAGS, ("--lambda", "lam", None), ("--n-base", "n_base", 1),
+                 ("--trunc", "trunc", 32), ("--y0-modes", "y0_modes", "1"), *STATE_FLAGS,
+                 ("--t-max", "t_max", 10.0), ("--t-steps", "t_steps", 50),
+                 ("--out", "out", "trajectory.csv")],
+    "null-control": [*MODEL_FLAGS, ("--gamma", "gamma", 3.0), ("--sigma", "sigma", 2.5),
+                     ("--horizon", "horizon", 1.0), ("--stages", "stages", 6),
+                     ("--trunc", "trunc", 48), ("--y0-modes", "y0_modes", "1,2"), *STATE_FLAGS,
+                     ("--growth-c-hat", "growth_c_hat", None),
+                     ("--growth-C-hat", "growth_C_hat", 10.0),
+                     ("--out-prefix", "out_prefix", "null_control")],
+}
+
+
+def test_cli_surface_keeps_every_flag_dest_and_default():
+    parser = cli._build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == list(CLI_SURFACE)
+    for command, flags in CLI_SURFACE.items():
+        actions = [a for a in sub.choices[command]._actions if a.dest != "help"]
+        assert ([(a.option_strings, a.dest) for a in actions]
+                == [([flag], dest) for flag, dest, _ in flags] + [(["--config"], "config")])
+        cfg = cli._merge(parser.parse_args([command]))
+        assert [(k, type(v), v) for k, v in cfg.items()] == [
+            (dest, type(default), default) for _, dest, default in flags]
+        assert [a.dest for a in actions if a.nargs == 0] == (
+            ["y0_random"] if "y0_random" in cfg else [])       # --y0-random takes no value
+        assert [list(a.choices) for a in actions if a.choices] == [[k.value for k in Kind]]
 
 
 TWO_SWEEPS = """
