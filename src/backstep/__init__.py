@@ -6,7 +6,7 @@ from .spectrum import (DistCertificate, GapReport, Kind, SpectrumModel,
                        dist_alpha, make_spectrum, make_tabulated,
                        model_from_json, model_to_json, mu_candidates,
                        select_mu, verify_gaps)
-from .cauchy import CauchySystem, build_cauchy, csum, explicit_inverse
+from .cauchy import NodeTable, build_cauchy, csum, explicit_inverse, node_table
 from .transform import (BacksteppingSynthesis, assemble, feedback_gains_product,
                         feedback_gains_rowsum, spectral_norm, synthesis_to_json,
                         weighted_norm)

@@ -1,12 +1,15 @@
 """Truncated Cauchy matrices and their explicit Lagrange-product inverses.
 
 The transformation core is the matrix C with entries 1/(x_i - x_j - lambda)
-on the nodes x_i = lambda_i.  Nothing about the nodes depends on lambda: the
-differences x_i - x_j, their reciprocals and whether the nodes are simple
-make one `NodeTable` per (model, N), which every damping of a sweep and
-every stage of a schedule shares (`node_table`); with integer levels the
-differences are exact.  The inverse has a closed form (Schechter,
-"On the inversion of certain matrices", MTAC 13, 1959),
+on the nodes x_i = lambda_i, i <= N, float64 on a self-adjoint model and
+purely imaginary on a skew-adjoint one.  The kernels take the nodes'
+`NodeTable` and lambda: `node_table(model, N)` builds the lambda-free
+differences x_i - x_j (exact with integer levels), their reciprocals and
+whether the nodes are simple once per (model, N), for every damping of a
+sweep and stage of a schedule; `NodeTable.of(x)` takes bare nodes.
+
+The inverse has a closed form (Schechter, "On the inversion of certain
+matrices", MTAC 13, 1959),
 
     C^-1 = lambda^2 diag(P) C^T diag(Q),
     P_i = prod_{m != i} (1 + lambda / (lambda_i - lambda_m)),
@@ -22,7 +25,7 @@ independent brute-force inversion oracle lives in `backstep.oracles`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -149,73 +152,43 @@ class NodeTable:
 
 
 def node_table(model: SpectrumModel, N: int) -> NodeTable:
-    """The node table of the model's first N eigenvalues: built on first use
-    and kept by the model (`SpectrumModel.node_tables`), so it is freed with
-    the model."""
+    """The node table of the model's first N eigenvalues, 1 <= N <= n_max:
+    built on first use and kept by the model (`SpectrumModel.node_tables`),
+    so it is freed with the model."""
+    if N < 1 or N > model.n_max:
+        raise ValueError(f"truncation N={N} outside [1, {model.n_max}]")
     table = model.node_tables.get(N)
     if table is None:
         table = model.node_tables[N] = NodeTable.of(model.eigenvalues[:N])
     return table
 
 
-@dataclass(frozen=True)
-class CauchySystem:
-    """Nodes x_i = lambda_i, i <= N, and the damping lambda of one truncation.
-
-    The nodes are the model's eigenvalues with their dtype: float64 on a
-    self-adjoint model, so the whole synthesis runs in real arithmetic, and
-    purely imaginary complex128 on a skew-adjoint one.  `min_sep`, when set
-    from a distance certificate, guards every divided difference: a node pair
-    closer than the certified distance means the certificate is stale.
-    `table` is the nodes' `NodeTable`: the model's own one from `from_model`,
-    or one built here from bare nodes `x`.
-    """
-    x: np.ndarray
-    lam: float
-    min_sep: float | None = None
-    table: NodeTable | None = field(default=None, repr=False)
-
-    def __post_init__(self):
-        if self.table is None:
-            object.__setattr__(self, "table", NodeTable.of(self.x))
-
-    @property
-    def n(self) -> int:
-        return self.x.size
-
-    @classmethod
-    def from_model(cls, model: SpectrumModel, lam: float, N: int,
-                   cert=None) -> "CauchySystem":
-        if N < 1 or N > model.n_max:
-            raise ValueError(f"truncation N={N} outside [1, {model.n_max}]")
-        table = node_table(model, N)
-        return cls(x=table.x, lam=float(lam),
-                   min_sep=None if cert is None else cert.dist, table=table)
-
-
-def _separations(sys: CauchySystem) -> np.ndarray:
-    """(x_i - x_j) - lambda after the resonance and stale-certificate guard.
-    On a self-adjoint model these are `dist_alpha`'s own float operations, so
-    a valid certificate's distance holds with no slack."""
-    sep = sys.table.dx - sys.lam
+def _separations(table: NodeTable, lam: float, min_sep: float | None) -> np.ndarray:
+    """(x_i - x_j) - lambda after the resonance guard and, below a certified
+    distance `min_sep`, the stale-certificate guard.  On a self-adjoint model
+    these are `dist_alpha`'s own float operations, so a valid certificate's
+    distance holds with no slack."""
+    sep = table.dx - lam
     dist = np.abs(sep)
     m = float(np.min(dist))
     if m == 0.0:
         i, j = np.unravel_index(int(np.argmin(dist)), sep.shape)
         raise ResonanceError(f"lambda equals x_{i+1} - x_{j+1}, an eigenvalue difference")
-    if sys.min_sep is not None and m < sys.min_sep:
+    if min_sep is not None and m < min_sep:
         raise ResonanceError(
-            f"node separation {m} below certified distance {sys.min_sep}: stale certificate")
+            f"node separation {m} below certified distance {min_sep}: stale certificate")
     return sep
 
 
-def build_cauchy(sys: CauchySystem) -> np.ndarray:
-    """N x N matrix C with entries 1/(x_i - x_j - lambda) = 1/(lambda_i - lambda_j - lambda)."""
-    sep = _separations(sys)
+def build_cauchy(table: NodeTable, lam: float, min_sep: float | None = None) -> np.ndarray:
+    """N x N matrix C with entries 1/(x_i - x_j - lambda) = 1/(lambda_i - lambda_j - lambda);
+    a node pair closer than a certified distance `min_sep` is a stale certificate."""
+    sep = _separations(table, lam, min_sep)
     return np.divide(1.0, sep, out=sep)
 
 
-def lagrange_products(sys: CauchySystem) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def lagrange_products(table: NodeTable, lam: float
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Row and column products of the explicit inverse, in log-signed form.
 
     Returns (log|P|, sgn P, log|Q|, sgn Q) with
@@ -237,10 +210,9 @@ def lagrange_products(sys: CauchySystem) -> tuple[np.ndarray, np.ndarray, np.nda
       - other complex nodes: the product of the units f / |f| along rows
         and along columns.
     """
-    table = sys.table
     if not table.simple:
         raise ResonanceError("repeated eigenvalue: Lagrange products need simple nodes")
-    f = np.multiply(table.inv_dx, sys.lam)     # q = 0 on the diagonal: a neutral factor
+    f = np.multiply(table.inv_dx, lam)     # q = 0 on the diagonal: a neutral factor
     f += 1.0
     if np.any(f == 0.0):
         raise ResonanceError("a Lagrange factor vanished: lambda equals lambda_i - lambda_m exactly")
@@ -259,20 +231,20 @@ def lagrange_products(sys: CauchySystem) -> tuple[np.ndarray, np.ndarray, np.nda
         return (log_p, 1.0 - 2.0 * (neg.sum(axis=1, dtype=np.uint8) & 1),
                 np.sum(logs.T.copy(), axis=1), 1.0 - 2.0 * (neg.sum(axis=0, dtype=np.uint8) & 1))
     sgn_p = np.prod(f, axis=1)
-    if sys.n > 1 and not np.any(sys.x.real):
+    if table.x.size > 1 and not np.any(table.x.real):
         return log_p, sgn_p, log_p.copy(), sgn_p.conj()
     return log_p, sgn_p, np.sum(logs.T.copy(), axis=1), np.prod(f.T.copy(), axis=1)
 
 
-def explicit_inverse(sys: CauchySystem) -> np.ndarray:
-    """Closed-form inverse of `build_cauchy(sys)`: lambda^2 diag(P) C^T diag(Q).
+def explicit_inverse(table: NodeTable, lam: float, min_sep: float | None = None) -> np.ndarray:
+    """Closed-form inverse of `build_cauchy(table, lam)`: lambda^2 diag(P) C^T diag(Q).
 
     Entry (i, j) = lambda^2 P_i Q_j / (lambda_j - lambda_i - lambda); the
     empty products at N = 1 are 1, so the single entry is -lambda.
     """
-    log_p, sgn_p, log_q, sgn_q = lagrange_products(sys)
-    p = sys.lam ** 2 * (sgn_p * np.exp(log_p))
-    return p[:, None] * build_cauchy(sys).T * (sgn_q * np.exp(log_q))[None, :]
+    log_p, sgn_p, log_q, sgn_q = lagrange_products(table, lam)
+    p = lam ** 2 * (sgn_p * np.exp(log_p))
+    return p[:, None] * build_cauchy(table, lam, min_sep).T * (sgn_q * np.exp(log_q))[None, :]
 
 
 # ---------------------------------------------------------------------------

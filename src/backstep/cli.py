@@ -21,13 +21,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cauchy import CauchySystem, build_cauchy, explicit_inverse, format_scalar
+from .cauchy import build_cauchy, explicit_inverse, format_scalar, node_table
 from .errors import MathGuardError
 from .quantitative import cost_sweep, sweep_to_csv
 from .simulate import (build_schedule, run_null_control, s_weights,
                        schedule_manifest_json, stage_truncation, trajectory,
                        trajectory_rows, write_trajectory_csv)
-from .spectrum import (Kind, dist_alpha, make_spectrum, model_from_json,
+from .spectrum import (Kind, check_law, dist_alpha, make_spectrum, model_from_json,
                        select_mu, verify_gaps)
 from .transform import assemble, synthesis_to_json, unit_gaussian
 
@@ -50,7 +50,7 @@ def main(argv=None) -> int:
     except MathGuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError, MemoryError) as exc:   # MemoryError: a --trunc too large to hold
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -188,7 +188,9 @@ def _typed(key: str, v):
 def _resolve_model(cfg, n_max_floor: int = 2):
     if cfg.get("model"):
         return model_from_json(Path(cfg["model"]).read_text(encoding="utf-8"))
-    n_max = cfg.get("n_max") or max(n_max_floor, 2)
+    n_max = 2 if cfg["n_max"] is None else cfg["n_max"]
+    if n_max < 2:
+        raise ValueError(f"n_max must be at least 2, got {n_max}")
     return make_spectrum(cfg["kind"], cfg["alpha"], cfg["scale"], max(n_max, n_max_floor))
 
 
@@ -226,7 +228,7 @@ def _initial_state(cfg, n):
 
 
 def cmd_spectrum_check(cfg) -> int:
-    model = _resolve_model(cfg, n_max_floor=cfg.get("n_max") or 200)
+    model = _resolve_model(cfg)
     report = verify_gaps(model, cfg.get("n_check"))
     Path(cfg["out"]).write_text(json.dumps(report.to_dict(), indent=2) + "\n", encoding="utf-8")
     print(f"gap report -> {cfg['out']} (passed={report.passed})")
@@ -243,9 +245,9 @@ def cmd_cauchy_verify(cfg) -> int:
     lines = ["N,lambda,residual_identity,residual_oracle"]
     worst_id = worst_or = 0.0
     for N in sizes:
-        sysm = CauchySystem.from_model(model, lam, N, cert)
-        C = build_cauchy(sysm)
-        E = explicit_inverse(sysm)
+        table = node_table(model, N)
+        C = build_cauchy(table, lam, cert.dist)
+        E = explicit_inverse(table, lam, cert.dist)
         O = oracle_inverse(C)
         rid = float(np.max(np.abs(E @ C - np.eye(N))))
         ror = float(np.max(np.abs(E - O))) / float(np.max(np.abs(O)))
@@ -302,8 +304,14 @@ def cmd_null_control(cfg) -> int:
     trunc = cfg["trunc"]
     # materialize enough modes for the deepest stage before building; a model
     # file brings its own
-    need = 2 if cfg.get("model") else stage_truncation(
-        trunc, stages ** cfg["gamma"] + cfg["scale"] + 1.0, cfg["alpha"])
+    need = 2
+    if not cfg.get("model"):
+        check_law(cfg["alpha"], cfg["scale"])
+        try:    # a power past the float range, or an infinite sum
+            need = stage_truncation(trunc, stages ** cfg["gamma"] + cfg["scale"] + 1.0, cfg["alpha"])
+        except OverflowError:
+            raise ValueError(f"stages ** gamma + scale, the deepest stage's damping bound, "
+                             f"overflows float64 (stages {stages}, gamma {cfg['gamma']})") from None
     model = _resolve_model(cfg, n_max_floor=need)
     schedule = build_schedule(model, cfg["horizon"], cfg["gamma"], cfg["sigma"], stages, trunc)
     y0 = _initial_state(cfg, schedule.trunc)

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cauchy import CauchySystem, build_cauchy, csum, lagrange_products
+from .cauchy import build_cauchy, csum, lagrange_products, node_table
 from .errors import SingularMatrixError
 from .quantitative import linear_fit, probe_depth
 from .spectrum import Kind, SpectrumModel, dist_alpha
@@ -166,7 +166,7 @@ def bound_check_products(model: SpectrumModel, lambda_grid, N: int) -> ProductBo
     lams = [float(l) for l in lambda_grid]
     sups = []
     for lam in lams:
-        log_f = lagrange_products(CauchySystem.from_model(model, lam, N))[0]
+        log_f = lagrange_products(node_table(model, N), lam)[0]
         sups.append(float(np.max(log_f)))
     fit = linear_fit([l ** (1.0 / model.alpha) for l in lams], sups)
     if fit is None:
@@ -222,7 +222,7 @@ def lower_bound_check_F(model: SpectrumModel, mu_sequence, N: int) -> LowerBound
     for mu in mu_sequence:
         mu = float(mu)
         cert = dist_alpha(model, mu).require_nonresonant()
-        log_f = lagrange_products(CauchySystem.from_model(model, mu, N))[0]
+        log_f = lagrange_products(node_table(model, N), mu)[0]
         m = float(np.min(log_f[:probe_depth(mu, model.alpha, N)]))
         if model.kind is Kind.SKEW_ADJOINT and m < -1e-12:
             skew_ok = False
@@ -267,9 +267,10 @@ def gain_cross_check(model: SpectrumModel, lam: float, N: int, cert=None) -> flo
     median operation from about 87 to 102 ms (2 shared cores, one BLAS
     thread), for a worst ratio of 0.0101 on the README and benchmark configs.
     """
-    sys = CauchySystem.from_model(model, lam, N, cert)
-    log_q, sgn_q = lagrange_products(sys)[2:]
-    terms = build_cauchy(sys).T * (sgn_q * np.exp(log_q))[None, :]
+    table = node_table(model, N)
+    log_q, sgn_q = lagrange_products(table, lam)[2:]
+    cmat = build_cauchy(table, lam, None if cert is None else cert.dist)
+    terms = cmat.T * (sgn_q * np.exp(log_q))[None, :]
     gap = np.abs(lam * csum(terms) + 1.0)
     bar = _term_relerr(N) * (1.0 + lam * np.sum(np.abs(terms), axis=1))
     return float(np.max(gap / bar))

@@ -81,11 +81,7 @@ def make_spectrum(kind: Kind | str,
     constant ``scale`` (equality is approached as n=1, k -> infinity).
     """
     kind = Kind(kind)
-    if not 1 < alpha < math.inf:
-        raise ValueError(f"alpha must exceed 1 and be finite (got {alpha}); "
-                         "the construction degenerates at alpha <= 1")
-    if scale <= 0:
-        raise ValueError("scale must be positive")
+    check_law(alpha, scale)
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
     n = np.arange(1, n_max + 1, dtype=float)
@@ -93,6 +89,15 @@ def make_spectrum(kind: Kind | str,
     b = _materialize_b(b_law, n_max)
     return SpectrumModel(kind=kind, alpha=float(alpha), scale=float(scale), n_max=n_max,
                          b=b, levels=levels, gap_c=float(scale))
+
+
+def check_law(alpha: float, scale: float) -> None:
+    """Refuse a law ell_n = scale * n**alpha that the construction cannot use."""
+    if not 1 < alpha < math.inf:
+        raise ValueError(f"alpha must exceed 1 and be finite (got {alpha}); "
+                         "the construction degenerates at alpha <= 1")
+    if scale <= 0:
+        raise ValueError("scale must be positive")
 
 
 def make_tabulated(kind: Kind | str,

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cauchy import CauchySystem, build_cauchy, csum, explicit_inverse, lagrange_products
+from .cauchy import build_cauchy, csum, explicit_inverse, lagrange_products, node_table
 from .errors import CertificationError, GainFloorError
 from .spectrum import DistCertificate, SpectrumModel, dist_alpha
 
@@ -63,7 +63,7 @@ def feedback_gains_rowsum(model: SpectrumModel, lam: float, N: int,
     lambda.
     """
     cert = _certify(model, lam, cert)
-    inv = explicit_inverse(CauchySystem.from_model(model, lam, N, cert))
+    inv = explicit_inverse(node_table(model, N), lam, cert.dist)
     return _rowsum_gains(model.b[:N], inv)
 
 
@@ -84,8 +84,8 @@ def feedback_gains_product(model: SpectrumModel, lam: float, N: int,
     (the rearrangement sum is identically 1); numerically this route has plain
     relative error and no cancellation.
     """
-    cert = _certify(model, lam, cert)
-    log_f, sgn_f, _, _ = lagrange_products(CauchySystem.from_model(model, lam, N, cert))
+    _certify(model, lam, cert)
+    log_f, sgn_f, _, _ = lagrange_products(node_table(model, N), lam)
     kb = _product_kb(lam, log_f, sgn_f)
     _check_nonzero(kb, "product")
     b = model.b[:N]
@@ -171,9 +171,9 @@ def assemble(model: SpectrumModel, lam: float, N: int,
     takes the F order of C^T, as the Lanczos norms' products expect.
     """
     cert = _certify(model, lam, cert)
-    sys = CauchySystem.from_model(model, lam, N, cert)
-    cmat = build_cauchy(sys)
-    log_p, sgn_p, log_q, sgn_q = lagrange_products(sys)
+    table = node_table(model, N)
+    cmat = build_cauchy(table, lam, cert.dist)
+    log_p, sgn_p, log_q, sgn_q = lagrange_products(table, lam)
     b = model.b[:N]
     with np.errstate(over="ignore", invalid="ignore"):    # reported just below
         k = _product_kb(lam, log_p, sgn_p) / b

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from backstep.cauchy import CauchySystem, build_cauchy, explicit_inverse
+from backstep.cauchy import build_cauchy, explicit_inverse, node_table
 from backstep.cli import main as cli_main
 from backstep.oracles import (all_J, condition_number, gain_cross_check, measure_decay,
                               operator_identity_residual, oracle_inverse,
@@ -97,9 +97,9 @@ def test_c01_cauchy_inverse_oracle_equivalence():
         points = certified_points(model, want=20)
         for N in (2, 4, 8, 16, 32, 64):
             for lam, cert in points:
-                sysm = CauchySystem.from_model(model, lam, N, cert)
-                C = build_cauchy(sysm)
-                E = explicit_inverse(sysm)
+                table = node_table(model, N)
+                C = build_cauchy(table, lam, cert.dist)
+                E = explicit_inverse(table, lam, cert.dist)
                 O = oracle_inverse(C)
                 rid = float(np.max(np.abs(E @ C - np.eye(N))))
                 scale = float(np.max(np.abs(O)))

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from backstep.cauchy import (CauchySystem, NodeTable, build_cauchy, csum, explicit_inverse,
-                             format_scalar, lagrange_products, node_table)
+from backstep.cauchy import (NodeTable, build_cauchy, csum, explicit_inverse, format_scalar,
+                             lagrange_products, node_table)
 from backstep.errors import ResonanceError, SingularMatrixError
 from backstep.oracles import LogSignedProduct, oracle_inverse
 from backstep.quantitative import cost_sweep
@@ -22,21 +22,20 @@ def heat(n_max=64):
 
 def test_build_examples():
     model = heat()
-    sys2 = CauchySystem.from_model(model, 0.5, 2)
-    dx = sys2.table.dx
-    assert np.array_equal(sys2.x, [-1.0, -4.0]) and np.array_equal(dx, [[0.0, 3.0], [-3.0, 0.0]])
-    assert not dx.flags.writeable and CauchySystem.from_model(model, 7.5, 2).table.dx is dx
-    C = build_cauchy(sys2)
+    table = node_table(model, 2)
+    dx = table.dx
+    assert np.array_equal(table.x, [-1.0, -4.0]) and np.array_equal(dx, [[0.0, 3.0], [-3.0, 0.0]])
+    assert not dx.flags.writeable and node_table(model, 2).dx is dx
+    C = build_cauchy(table, 0.5)
     assert np.allclose(C, [[-2.0, 0.4], [-1 / 3.5, -2.0]])
-    assert np.allclose(build_cauchy(CauchySystem.from_model(heat(), 0.5, 1)), [[-2.0]])
+    assert np.allclose(build_cauchy(node_table(heat(), 1), 0.5), [[-2.0]])
     sk = make_spectrum(Kind.SKEW_ADJOINT, 2.0, 1.0, 4)
-    C1 = build_cauchy(CauchySystem.from_model(sk, 1.0, 1))
+    C1 = build_cauchy(node_table(sk, 1), 1.0)
     assert C1[0, 0] == pytest.approx(-1.0)
 
 
 def test_explicit_inverse_2x2():
-    sys2 = CauchySystem.from_model(heat(), 0.5, 2)
-    E = explicit_inverse(sys2)
+    E = explicit_inverse(node_table(heat(), 2), 0.5)
     # frozen from the 2x2 adjugate: det = 4 + 0.4/3.5 = 144/35
     det = 4.0 + 0.4 / 3.5
     assert det == pytest.approx(4.1142857142857, rel=1e-12)
@@ -47,8 +46,7 @@ def test_explicit_inverse_2x2():
 
 
 def test_explicit_inverse_empty_products():
-    s1 = CauchySystem.from_model(heat(), 0.5, 1)
-    E = explicit_inverse(s1)
+    E = explicit_inverse(node_table(heat(), 1), 0.5)
     assert np.allclose(E, [[-0.5]])           # lambda^2 / (-lambda) with empty products
 
 
@@ -58,8 +56,8 @@ def test_inverse_identity_and_oracle(alpha, N):
     m = make_spectrum(Kind.SELF_ADJOINT, alpha, 1.0, 64)
     lam = 1.3125
     cert = dist_alpha(m, lam)
-    sysm = CauchySystem.from_model(m, lam, N, cert)
-    C, E = build_cauchy(sysm), explicit_inverse(sysm)
+    table = node_table(m, N)
+    C, E = build_cauchy(table, lam, cert.dist), explicit_inverse(table, lam, cert.dist)
     assert np.max(np.abs(E @ C - np.eye(N))) <= 1e-10
     O = oracle_inverse(C)
     assert np.max(np.abs(E - O)) <= 1e-10 * np.max(np.abs(O))
@@ -84,14 +82,24 @@ def test_oracle_guards():
 def test_resonance_guards():
     m = heat()
     with pytest.raises(ResonanceError):
-        build_cauchy(CauchySystem.from_model(m, 3.0, 4))   # lambda_1 - lambda_2 = 3
+        build_cauchy(node_table(m, 4), 3.0)   # lambda_1 - lambda_2 = 3
     with pytest.raises(ResonanceError):
-        explicit_inverse(CauchySystem.from_model(m, 3.0, 4))
+        explicit_inverse(node_table(m, 4), 3.0)
     # stale certificate: claim a larger separation than the nodes deliver
     fake = dist_alpha(m, 0.5)
-    sysm = CauchySystem(x=m.eigenvalues[:4], lam=2.9, min_sep=fake.dist)
     with pytest.raises(ResonanceError, match="stale"):
-        build_cauchy(sysm)
+        build_cauchy(NodeTable.of(m.eigenvalues[:4]), 2.9, fake.dist)
+    with pytest.raises(ResonanceError, match="stale"):
+        explicit_inverse(node_table(m, 4), 2.9, fake.dist)
+
+
+def test_node_table_refuses_truncations_outside_the_model():
+    m = heat(8)
+    for N in (0, 9):
+        with pytest.raises(ValueError, match=rf"truncation N={N} outside \[1, 8\]"):
+            node_table(m, N)
+    assert m.node_tables == {}
+    assert node_table(m, 8).x.size == 8
 
 
 def test_logsigned_against_naive():
@@ -326,8 +334,8 @@ def _node_models():
         [make_tabulated(Kind.SELF_ADJOINT, 2.0, table)]
 
 
-def _complex_nodes(sysm):
-    return CauchySystem(x=sysm.x.astype(complex), lam=sysm.lam, min_sep=sysm.min_sep)
+def _complex_nodes(table):
+    return NodeTable.of(table.x.astype(complex))
 
 
 @pytest.mark.parametrize("model", _node_models(),
@@ -338,19 +346,19 @@ def test_real_nodes_round_like_complex_nodes(model):
     # complex kernel's products of rounded units drift by a few ulps
     eps = np.finfo(float).eps
     for lam in (0.7, 13.3, 57.1, 99.7):
-        real = CauchySystem.from_model(model, lam, 64)
+        real = node_table(model, 64)
         cplx = _complex_nodes(real)
         assert np.array_equal(real.x, cplx.x.real)
-        assert np.array_equal(real.table.dx, cplx.table.dx.real)
-        assert np.array_equal(build_cauchy(real), build_cauchy(cplx))
-        log_p, sgn_p, log_q, sgn_q = lagrange_products(real)
-        c_log_p, c_sgn_p, c_log_q, c_sgn_q = lagrange_products(cplx)
+        assert np.array_equal(real.dx, cplx.dx.real)
+        assert np.array_equal(build_cauchy(real, lam), build_cauchy(cplx, lam))
+        log_p, sgn_p, log_q, sgn_q = lagrange_products(real, lam)
+        c_log_p, c_sgn_p, c_log_q, c_sgn_q = lagrange_products(cplx, lam)
         for a, b in ((log_p, c_log_p), (log_q, c_log_q)):
             assert np.array_equal(a, b.real) and not np.any(b.imag)
         for a, b in ((sgn_p, c_sgn_p), (sgn_q, c_sgn_q)):
             assert np.array_equal(np.abs(a), np.ones(64)) and np.array_equal(a, np.sign(b.real))
             assert not np.any(b.imag) and np.max(np.abs(b - a)) <= 64 * eps
-        e_real, e_cplx = explicit_inverse(real), explicit_inverse(cplx)
+        e_real, e_cplx = explicit_inverse(real, lam), explicit_inverse(cplx, lam)
         assert np.array_equal(np.sign(e_real), np.sign(e_cplx.real))
         assert np.all(np.abs(e_real - e_cplx) <= 128 * eps * np.abs(e_real))
 
@@ -366,7 +374,7 @@ def test_real_lagrange_signs_are_exact_parities(alpha, scale):
         lam = select_mu(model, base)[0]
         x = model.eigenvalues
         below = (x[None, :] - x[:, None] > 0.0) & (x[None, :] - x[:, None] < lam)
-        _, sgn_p, _, sgn_q = lagrange_products(CauchySystem.from_model(model, lam, 300))
+        _, sgn_p, _, sgn_q = lagrange_products(node_table(model, 300), lam)
         assert np.array_equal(sgn_p, (-1.0) ** np.count_nonzero(below, axis=1)), base
         assert np.array_equal(sgn_q, (-1.0) ** np.count_nonzero(below, axis=0)), base
 
@@ -376,7 +384,7 @@ def test_real_lagrange_signs_past_255_negative_factors():
     # min(i, 400) negative factors and column j min(599 - j, 400), so the
     # counts pass 255, where a uint8 count wraps
     model = make_tabulated(Kind.SELF_ADJOINT, 2.0, -np.arange(1.0, 601.0))
-    _, sgn_p, _, sgn_q = lagrange_products(CauchySystem.from_model(model, 400.5, 600))
+    _, sgn_p, _, sgn_q = lagrange_products(node_table(model, 600), 400.5)
     counts = np.minimum(np.arange(600), 400)
     assert np.array_equal(sgn_p, (-1.0) ** counts)
     assert np.array_equal(sgn_q, (-1.0) ** counts[::-1])
@@ -391,32 +399,32 @@ def test_skew_column_products_conjugate_row_products(alpha, scale):
     model = make_spectrum(Kind.SKEW_ADJOINT, alpha, scale, 300)
     for N in (64, 128, 300):
         for base in (3, 40):
-            sysm = CauchySystem.from_model(model, select_mu(model, base)[0], N)
-            log_p, sgn_p, log_q, sgn_q = lagrange_products(sysm)
+            table, lam = node_table(model, N), select_mu(model, base)[0]
+            log_p, sgn_p, log_q, sgn_q = lagrange_products(table, lam)
             assert log_q.tobytes() == log_p.tobytes()
             assert sgn_q.tobytes() == sgn_p.conj().tobytes()
-            ref = _two_pass_lagrange_products(sysm)
+            ref = _two_pass_lagrange_products(table, lam)
             assert all(a.tobytes() == b.tobytes() for a, b in zip((log_p, sgn_p, log_q, sgn_q), ref))
 
 
 def test_self_adjoint_kernel_is_real():
     for model in _node_models():
-        sysm = CauchySystem.from_model(model, 3.3, 48)
-        assert sysm.x.dtype == np.float64 and sysm.table.dx.dtype == np.float64
-        assert all(p.dtype == np.float64 for p in lagrange_products(sysm))
-        assert build_cauchy(sysm).dtype == explicit_inverse(sysm).dtype == np.float64
-    sk = CauchySystem.from_model(make_spectrum(Kind.SKEW_ADJOINT, 2.0, 1.0, 8), 1.5, 8)
+        table = node_table(model, 48)
+        assert table.x.dtype == np.float64 and table.dx.dtype == np.float64
+        assert all(p.dtype == np.float64 for p in lagrange_products(table, 3.3))
+        assert build_cauchy(table, 3.3).dtype == explicit_inverse(table, 3.3).dtype == np.float64
+    sk = node_table(make_spectrum(Kind.SKEW_ADJOINT, 2.0, 1.0, 8), 8)
     assert sk.x.dtype == np.complex128
 
 
 def test_repeated_eigenvalue_guard():
     deg = make_tabulated(Kind.SELF_ADJOINT, 2.0, [-1.0, -1.0, -4.0])
-    real = CauchySystem.from_model(deg, 0.5, 3)
-    for sysm in (real, _complex_nodes(real)):
+    real = node_table(deg, 3)
+    for table in (real, _complex_nodes(real)):
         with pytest.raises(ResonanceError, match="repeated eigenvalue"):
-            lagrange_products(sysm)
+            lagrange_products(table, 0.5)
     for N in (1, 2):       # the guard needs an off-diagonal zero, not the diagonal ones
-        lagrange_products(CauchySystem.from_model(heat(), 0.5, N))
+        lagrange_products(node_table(heat(), N), 0.5)
 
 
 def _count_tables(monkeypatch):
@@ -446,9 +454,9 @@ def test_one_node_table_per_model_and_truncation(monkeypatch):
 
 def test_node_table_is_read_only_and_dies_with_its_model():
     model = heat()
-    lagrange_products(CauchySystem.from_model(model, 0.5, 16))
+    lagrange_products(node_table(model, 16), 0.5)
     table = node_table(model, 16)
-    assert table is model.node_tables[16] is CauchySystem.from_model(model, 9.5, 16).table
+    assert table is model.node_tables[16] is node_table(model, 16)
     assert all(not a.flags.writeable for a in (table.x, table.dx, table.inv_dx))
     assert table.simple and np.array_equal(table.x, model.eigenvalues[:16])
     ref = weakref.ref(table)
@@ -460,25 +468,24 @@ def test_node_table_is_read_only_and_dies_with_its_model():
 def test_bare_nodes_build_their_own_table():
     model = heat()
     x = model.eigenvalues[:8]
-    sysm = CauchySystem(x=x, lam=0.5)
+    table = NodeTable.of(x)
     dx = x[:, None] - x[None, :]
-    assert np.array_equal(sysm.table.x, x) and np.array_equal(sysm.table.dx, dx)
+    assert np.array_equal(table.x, x) and np.array_equal(table.dx, dx)
     inv = np.divide(1.0, dx, out=np.zeros_like(dx), where=dx != 0.0)
-    assert sysm.table.inv_dx.tobytes() == inv.tobytes()
+    assert table.inv_dx.tobytes() == inv.tobytes()
     assert model.node_tables == {}           # the model's own tables are untouched
-    assert CauchySystem(x=x, lam=0.5).table is not sysm.table
-    ref = CauchySystem.from_model(model, 0.5, 8)
-    for a, b in zip(lagrange_products(sysm), lagrange_products(ref)):
+    assert NodeTable.of(x) is not table
+    for a, b in zip(lagrange_products(table, 0.5), lagrange_products(node_table(model, 8), 0.5)):
         assert a.tobytes() == b.tobytes()
-    assert not CauchySystem(x=np.array([-1.0, -1.0, -4.0]), lam=0.5).table.simple
+    assert not NodeTable.of(np.array([-1.0, -1.0, -4.0])).simple
 
 
-def _two_pass_lagrange_products(sysm):
+def _two_pass_lagrange_products(table, lam):
     """Reference: the products from two factor matrices, 1 + q and 1 - q,
     each reduced along its rows; a real row's sign is the parity of its
     negative factors, a complex row's the product of its units."""
-    dx = sysm.x[:, None] - sysm.x[None, :]
-    q = sysm.lam * np.divide(1.0, dx, out=np.zeros_like(dx), where=dx != 0.0)
+    dx = table.x[:, None] - table.x[None, :]
+    q = lam * np.divide(1.0, dx, out=np.zeros_like(dx), where=dx != 0.0)
 
     def rows(factors):
         if np.any(factors == 0.0):
@@ -509,8 +516,8 @@ def test_lagrange_products_match_two_pass_form(model):
     # every product with the bits of the two-pass form
     for lam in (0.7, 13.3, 57.1, 99.7, 1234.5):
         for N in (1, 2, 17, 64):
-            sysm = CauchySystem.from_model(model, lam, N)
-            new, ref = lagrange_products(sysm), _two_pass_lagrange_products(sysm)
+            table = node_table(model, N)
+            new, ref = lagrange_products(table, lam), _two_pass_lagrange_products(table, lam)
             for a, b in zip(new, ref):
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (lam, N)
 
@@ -518,9 +525,9 @@ def test_lagrange_products_match_two_pass_form(model):
 def test_vanished_lagrange_factor_guard():
     # lambda = x_1 - x_2 = 3 on heat levels: 1 + lambda / (x_2 - x_1) = 0 is a
     # factor of P_2, and 1 - lambda / (x_1 - x_2) = 0 the same factor of Q_1
-    real = CauchySystem.from_model(heat(), 3.0, 4)
-    for sysm in (real, _complex_nodes(real), CauchySystem.from_model(heat(), -3.0, 4)):
+    real = node_table(heat(), 4)
+    for table, lam in ((real, 3.0), (_complex_nodes(real), 3.0), (real, -3.0)):
         with pytest.raises(ResonanceError, match="a Lagrange factor vanished"):
-            lagrange_products(sysm)
+            lagrange_products(table, lam)
         with pytest.raises(ResonanceError, match="a Lagrange factor vanished"):
-            _two_pass_lagrange_products(sysm)
+            _two_pass_lagrange_products(table, lam)

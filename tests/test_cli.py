@@ -248,6 +248,53 @@ def test_null_control_bad_sigma_exits_2(tmp_path):
                "--sigma", "1.5") == 2
 
 
+@pytest.mark.parametrize("argv,reason", [
+    (("--gamma", "1000"), "stages ** gamma + scale, the deepest stage's damping bound, "
+                          "overflows float64 (stages 6, gamma 1000.0)"),
+    (("--stages", "40", "--gamma", "300"), "overflows float64 (stages 40, gamma 300.0)"),
+    (("--alpha", "0"), "alpha must exceed 1"),
+    (("--scale", "-100", "--stages", "2"), "scale must be positive"),
+], ids=["gamma-1000", "stages-40-gamma-300", "alpha-0", "negative-scale"])
+def test_null_control_sizes_its_model_from_checked_settings(tmp_path, capsys, argv, reason):
+    # the deepest stage's truncation is computed from alpha, scale, stages and
+    # gamma before any model exists: it must not overflow, divide by zero or
+    # take a root of a negative number
+    assert run(tmp_path, "null-control", *argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and reason in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [("synth", "--lambda", "0.5"), ("cost-sweep", "--n-range", "1:1"),
+                                  ("simulate", "--lambda", "0.5")])
+def test_truncation_too_large_to_hold_exits_2(tmp_path, capsys, argv):
+    # one 5,000,000 x 5,000,000 float64 block is 182 TiB, past a 128 TiB user
+    # address space, so the allocation fails whatever the overcommit policy
+    assert run(tmp_path, *argv, "--trunc", "5000000") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "TiB" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv,n_max", [
+    (("spectrum-check",), "0"),
+    (("cauchy-verify", "--sizes", "2"), "0"),
+    (("synth", "--lambda", "0.5", "--trunc", "8"), "0"),
+    (("synth", "--lambda", "0.5", "--trunc", "8"), "1"),
+    (("synth", "--lambda", "0.5", "--trunc", "8"), "-5"),
+    (("cost-sweep", "--n-range", "1:1", "--trunc", "8"), "0"),
+    (("simulate", "--lambda", "0.5", "--trunc", "8"), "0"),
+    (("null-control", "--scale", "32", "--stages", "2"), "0"),
+])
+def test_n_max_below_two_exits_2(tmp_path, capsys, argv, n_max):
+    # an explicit --n-max is a model setting, not "unset": below 2 it is
+    # refused, whatever truncation the command would lift it to
+    assert run(tmp_path, *argv, "--n-max", n_max) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: n_max must be at least 2, got {n_max}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_config_file_with_flag_override(tmp_path):
     (tmp_path / "cfg.json").write_text(json.dumps({"n_range": "1:3", "trunc": 40}))
     assert run(tmp_path, "cost-sweep", "--config", "cfg.json") == 0

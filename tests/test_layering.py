@@ -69,7 +69,7 @@ def test_moved_names_live_only_in_oracles():
 
 
 DELETED = ("StateVector", "state", "norm_h", "norm_weighted", "ChiFunction",
-           "tail_log_bound", "truncation_entry_bar")
+           "tail_log_bound", "truncation_entry_bar", "CauchySystem")
 # the oracles the package root used to re-export; they live in `oracles` alone
 ROOT_DELETED = ("LogSignedProduct", "all_J", "bound_check_products", "bound_check_sums",
                 "chi", "condition_number", "eval_J", "factorization_residual",
@@ -80,7 +80,8 @@ ROOT_DELETED = ("LogSignedProduct", "all_J", "bound_check_products", "bound_chec
 def test_deleted_names_stay_deleted():
     """The state is a plain coefficient array and `chi` returns one: no module
     keeps a wrapper type or a norm helper for it.  The one-sided truncation
-    tail majorants are gone everywhere, and the root re-exports no oracle."""
+    tail majorants are gone everywhere, and so is `CauchySystem`: the Cauchy
+    kernels take a node table and lambda.  The root re-exports no oracle."""
     for name in ["backstep"] + [f"backstep.{p.stem}" for p in SRC.glob("*.py")
                                 if p.stem != "__init__"]:
         module = importlib.import_module(name)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from backstep.cauchy import CauchySystem, lagrange_products
+from backstep.cauchy import lagrange_products, node_table
 from backstep.errors import ResonanceError
 from backstep.oracles import (all_J, bound_check_products, bound_check_sums, eval_J,
                               gain_cross_check, lower_bound_check_F)
@@ -22,7 +22,7 @@ def skew(n_max=64):
 
 def gain_products(model, lam, N):
     """F_n for n <= N, read from the row products of the Lagrange kernel."""
-    log_f, sgn_f, _, _ = lagrange_products(CauchySystem.from_model(model, lam, N))
+    log_f, sgn_f, _, _ = lagrange_products(node_table(model, N), lam)
     return sgn_f * np.exp(log_f)
 
 
@@ -186,7 +186,7 @@ def test_rearrangement_identity_routes():
 def test_inverse_row_sums_scale():
     # row/column l1 mass of the explicit inverse: bounded by
     # C e^(c sqrt(lam)) (lam^2 + lam^2/dist), with C stable across N
-    from backstep.cauchy import CauchySystem, explicit_inverse
+    from backstep.cauchy import explicit_inverse
     from backstep.spectrum import dist_alpha
     m = make_spectrum(Kind.SELF_ADJOINT, 2.0, 1.0, 128)
     mus = [select_mu(m, n)[0] for n in range(1, 9)]
@@ -194,7 +194,7 @@ def test_inverse_row_sums_scale():
     for N in (60, 120):
         for mu in mus:
             cert = dist_alpha(m, mu)
-            E = explicit_inverse(CauchySystem.from_model(m, mu, N, cert))
+            E = explicit_inverse(node_table(m, N), mu, cert.dist)
             mass = max(float(np.max(np.sum(np.abs(E), axis=1))),
                        float(np.max(np.sum(np.abs(E), axis=0))))
             ratios[(N, mu)] = mass / (mu ** 2 + mu ** 2 / cert.dist)
@@ -228,7 +228,7 @@ def test_one_product_evaluation_per_synthesis(monkeypatch):
                 monkeypatch.setattr(mod, name, counted)
 
     def sizes(name):
-        return [args[0].n for n, args in calls if n == name]
+        return [args[0].x.size for n, args in calls if n == name]
 
     assemble(heat(), 0.5, 16)
     assert [n for n, _ in calls] == ["lagrange_products"] and sizes("lagrange_products") == [16]
@@ -249,9 +249,9 @@ def test_gain_cross_check_bits(kind):
     for base, N in ((2, 32), (6, 100)):
         mu, cert = select_mu(m, base)
         s = assemble(m, mu, N, cert)
-        sysm = CauchySystem.from_model(m, mu, N, cert)
-        C = build_cauchy(sysm)
-        _, _, log_q, sgn_q = lagrange_products(sysm)
+        table = node_table(m, N)
+        C = build_cauchy(table, mu, cert.dist)
+        _, _, log_q, sgn_q = lagrange_products(table, mu)
         q = sgn_q * np.exp(log_q)
         assert np.array_equal(s.Tinv_mat, (-mu * s.b)[:, None] * C.T * (q * (1.0 / s.b))[None, :])
         terms = C.T * q[None, :]
@@ -266,5 +266,5 @@ def test_gain_cross_check_bits(kind):
 def test_synthesis_log_f_matches_all_F():
     sk = make_spectrum(Kind.SKEW_ADJOINT, 2.0, 1.0, 64)
     for model, lam in ((heat(), 4.0714285714285716), (sk, 9.5)):
-        log_f = lagrange_products(CauchySystem.from_model(model, lam, 48))[0]
+        log_f = lagrange_products(node_table(model, 48), lam)[0]
         assert np.array_equal(assemble(model, lam, 48).log_f, log_f)

@@ -8,7 +8,7 @@ evaluates the Lagrange products and T^-1 = -lambda diag(b) C^T diag(Q/b) in
 import numpy as np
 import pytest
 
-from backstep.cauchy import CauchySystem, _separations, lagrange_products
+from backstep.cauchy import _separations, lagrange_products, node_table
 from backstep.spectrum import Kind, make_spectrum, select_mu
 from backstep.transform import (_product_kb, _term_relerr, assemble, feedback_gains_rowsum,
                                 spectral_norm)
@@ -90,8 +90,8 @@ def test_gain_and_column_products_against_reference(base):
     # 11.5-18.1 eps (k b) and 12.6-17.1 eps (Q) at these README points; a
     # product of the rounded units f / |f| as the signs put them at 42-47 eps
     heat = make_spectrum(Kind.SELF_ADJOINT, 2.0, 1.0, 320)
-    mu, cert = select_mu(heat, base)
-    log_p, sgn_p, log_q, sgn_q = lagrange_products(CauchySystem.from_model(heat, mu, N, cert))
+    mu = select_mu(heat, base)[0]
+    log_p, sgn_p, log_q, sgn_q = lagrange_products(node_table(heat, N), mu)
     P, Q = _products(heat, mu)
     eps = np.finfo(float).eps
     with mp.workdps(60):
@@ -108,5 +108,5 @@ def test_separations_meet_certificate_without_slack(kind):
     model = make_spectrum(kind, 2.0, 1.0, 320)
     for base in range(1, 26):
         mu, cert = select_mu(model, base)
-        sep = _separations(CauchySystem.from_model(model, mu, N, cert))
+        sep = _separations(node_table(model, N), mu, cert.dist)
         assert float(np.min(np.abs(sep))) == cert.dist, base

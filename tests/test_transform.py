@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from backstep import transform
-from backstep.cauchy import CauchySystem, build_cauchy, explicit_inverse, lagrange_products
+from backstep.cauchy import (NodeTable, build_cauchy, explicit_inverse, lagrange_products,
+                             node_table)
 from backstep.errors import CertificationError, GainFloorError, MathGuardError, ResonanceError
 from backstep.oracles import (chi, condition_number, factorization_residual,
                               gain_cross_check, operator_identity_residual,
@@ -25,9 +26,9 @@ def heat(n_max=64):
     return make_spectrum(Kind.SELF_ADJOINT, 2.0, 1.0, n_max)
 
 
-def column_products(sysm):
+def column_products(table, lam):
     """The Lagrange column products Q_n, as `assemble` forms them."""
-    _, _, log_q, sgn_q = lagrange_products(sysm)
+    _, _, log_q, sgn_q = lagrange_products(table, lam)
     return sgn_q * np.exp(log_q)
 
 
@@ -390,13 +391,13 @@ def test_assemble_inverse_matches_explicit_inverse():
     two = make_spectrum(Kind.SELF_ADJOINT, 2.0, 1.0, 64, b_law=lambda n: 2.0)
     for model, lam in ((heat(), 4.0714285714285716), (sk, 9.5), (two, 4.0714285714285716)):
         synth = assemble(model, lam, 48)
-        sysm = CauchySystem.from_model(model, lam, 48, synth.cert)
-        C = build_cauchy(sysm)
+        table = node_table(model, 48)
+        C = build_cauchy(table, lam, synth.cert.dist)
         assert synth.T_mat.dtype == synth.Tinv_mat.dtype == C.dtype
         assert np.array_equal(synth.T_mat, synth.b[:, None] * C * synth.k[None, :])
-        b, q = synth.b, column_products(sysm)
+        b, q = synth.b, column_products(table, lam)
         assert np.array_equal(synth.Tinv_mat, (-lam * b)[:, None] * C.T * (q * (1.0 / b))[None, :])
-        E = explicit_inverse(sysm)
+        E = explicit_inverse(table, lam, synth.cert.dist)
         ref = (1.0 / synth.k)[:, None] * E * (1.0 / b)[None, :]
         assert np.max(np.abs(synth.Tinv_mat - ref)) <= 1e-14 * np.max(np.abs(ref))
 
@@ -412,12 +413,10 @@ def test_real_synthesis_matches_complex_nodes(monkeypatch):
     levels = np.cumsum(rng.uniform(1.0, 9.0, 64)) + 0.25
     models = [make_spectrum(Kind.SELF_ADJOINT, a, 1.0, 64) for a in (1.5, 2.0, 3.0)]
     models.append(make_tabulated(Kind.SELF_ADJOINT, 2.0, -levels))
-    real_from_model = CauchySystem.from_model.__func__
     eps = np.finfo(float).eps
 
-    def complex_from_model(cls, model, lam, N, cert=None):
-        s = real_from_model(cls, model, lam, N, cert)
-        return cls(x=s.x.astype(complex), lam=s.lam, min_sep=s.min_sep)
+    def complex_node_table(model, N):
+        return NodeTable.of(node_table(model, N).x.astype(complex))
 
     def outcome(model, lam, cert):
         try:
@@ -438,7 +437,7 @@ def test_real_synthesis_matches_complex_nodes(monkeypatch):
                 cert = dist_alpha(model, lam)
             real = outcome(model, lam, cert)
             with monkeypatch.context() as mp:
-                mp.setattr(CauchySystem, "from_model", classmethod(complex_from_model))
+                mp.setattr(transform, "node_table", complex_node_table)
                 cplx = outcome(model, lam, cert)
             assert type(cplx) is type(real), (model.alpha, lam, real, cplx)
             if isinstance(real, MathGuardError):
@@ -477,11 +476,10 @@ def test_row_sums_match_per_row_loop(kind):
     for base, N in ((2, 32), (5, 64)):
         mu, cert = select_mu(m, base)
         s = assemble(m, mu, N, cert)
-        sysm = CauchySystem.from_model(m, mu, N, cert)
-        C = build_cauchy(sysm)
+        C = build_cauchy(node_table(m, N), mu, cert.dist)
         loop = np.array([abs(csum(row) - 1.0) for row in C * (s.k * s.b)[None, :]])
         assert s.tb_residuals.tobytes() == loop.tobytes()
-        cols = C.T * column_products(sysm)[None, :]
+        cols = C.T * column_products(node_table(m, N), mu)[None, :]
         sums = np.array([csum(row) for row in cols], dtype=cols.dtype)
         bars = _term_relerr(N) * (1.0 + mu * np.sum(np.abs(cols), axis=1))
         assert gain_cross_check(m, mu, N, cert) == float(np.max(np.abs(mu * sums + 1.0) / bars))
