@@ -1,7 +1,7 @@
 """Explicit Fredholm backstepping synthesis for diagonal spectral operators."""
 
-from .errors import (CertificationError, DivergenceError, GainFloorError,
-                     MathGuardError, ResonanceError, SingularMatrixError)
+from .errors import (CertificationError, GainFloorError, MathGuardError, ResonanceError,
+                     SingularMatrixError)
 from .spectrum import (DistCertificate, GapReport, Kind, SpectrumModel,
                        dist_alpha, make_spectrum, make_tabulated,
                        model_from_json, model_to_json, mu_candidates,

@@ -243,7 +243,7 @@ def explicit_inverse(table: NodeTable, lam: float, min_sep: float | None = None)
     empty products at N = 1 are 1, so the single entry is -lambda.
     """
     log_p, sgn_p, log_q, sgn_q = lagrange_products(table, lam)
-    p = lam ** 2 * (sgn_p * np.exp(log_p))
+    p = np.float64(lam) ** 2 * (sgn_p * np.exp(log_p))    # lam ** 2's C pow, inf on overflow
     return p[:, None] * build_cauchy(table, lam, min_sep).T * (sgn_q * np.exp(log_q))[None, :]
 
 

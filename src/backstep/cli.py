@@ -4,8 +4,8 @@ Subcommands: spectrum-check, cauchy-verify, synth, cost-sweep, simulate,
 null-control.  Every run is driven by an optional JSON config file plus flag
 overrides (flags win); identical config and seed produce byte-identical
 outputs at a fixed BLAS thread count.  Exit codes: 0 success, 2 usage/config
-error, 3 mathematical guard (resonance, gain floor, divergence, failed
-certification).
+error, 3 mathematical guard (resonance, gain floor, failed certification,
+float64 overflow).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .cauchy import build_cauchy, explicit_inverse, format_scalar, node_table
-from .errors import MathGuardError
+from .errors import CertificationError, MathGuardError
 from .quantitative import cost_sweep, sweep_to_csv
 from .simulate import (build_schedule, run_null_control, s_weights,
                        schedule_manifest_json, stage_truncation, trajectory,
@@ -106,8 +106,8 @@ class _Setting(NamedTuple):
 # every setting of every command, by its config key; its flag is --key with
 # dashes for underscores, except lam's --lambda
 _SETTINGS = {
-    **dict.fromkeys(("alpha", "scale", "lam", "gamma", "sigma", "horizon", "s_weight", "t_max",
-                     "growth_c_hat", "growth_C_hat"), _Setting(float)),
+    **dict.fromkeys(("alpha", "scale", "lam", "gamma", "sigma", "horizon", "s_weight", "t_max"),
+                    _Setting(float)),
     **dict.fromkeys(("n_max", "n_check", "trunc", "stages", "t_steps"), _Setting(int)),
     **dict.fromkeys(("out", "out_prefix"), _Setting(str)),
     "y0_random": _Setting(bool),
@@ -247,10 +247,15 @@ def cmd_cauchy_verify(cfg) -> int:
     for N in sizes:
         table = node_table(model, N)
         C = build_cauchy(table, lam, cert.dist)
-        E = explicit_inverse(table, lam, cert.dist)
+        with np.errstate(over="ignore", invalid="ignore"):     # refused just below
+            E = explicit_inverse(table, lam, cert.dist)
+            rid = float(np.max(np.abs(E @ C - np.eye(N))))
+        if not math.isfinite(rid):      # checked first: the oracle would call such nodes singular
+            raise CertificationError(f"N={N}: identity residual {rid}: float64 overflow at lambda {lam}")
         O = oracle_inverse(C)
-        rid = float(np.max(np.abs(E @ C - np.eye(N))))
         ror = float(np.max(np.abs(E - O))) / float(np.max(np.abs(O)))
+        if not math.isfinite(ror):
+            raise CertificationError(f"N={N}: oracle residual {ror} at lambda {lam}")
         worst_id, worst_or = max(worst_id, rid), max(worst_or, ror)
         lines.append(",".join([str(N), format_scalar(lam), format_scalar(rid), format_scalar(ror)]))
     lines.append(f"# max residual_identity={format_scalar(worst_id)} residual_oracle={format_scalar(worst_or)}")
@@ -315,8 +320,7 @@ def cmd_null_control(cfg) -> int:
     model = _resolve_model(cfg, n_max_floor=need)
     schedule = build_schedule(model, cfg["horizon"], cfg["gamma"], cfg["sigma"], stages, trunc)
     y0 = _initial_state(cfg, schedule.trunc)
-    report = run_null_control(schedule, y0, cfg["s_weight"], growth_c_hat=cfg["growth_c_hat"],
-                              growth_C_hat=cfg["growth_C_hat"])
+    report = run_null_control(schedule, y0, cfg["s_weight"])
     prefix = cfg["out_prefix"]
     traj_path = f"{prefix}_trajectory.csv"
     write_trajectory_csv(report.samples, traj_path)
@@ -352,8 +356,7 @@ _COMMANDS = {
     "null-control": (cmd_null_control, "piecewise-feedback null-control schedule",
                      {**_MODEL_DEFAULTS, "gamma": 3.0, "sigma": 2.5, "horizon": 1.0, "stages": 6,
                       "trunc": 48, "y0_modes": "1,2", "y0_file": None, "y0_random": False,
-                      "seed": 0, "s_weight": 0.0, "growth_c_hat": None, "growth_C_hat": 10.0,
-                      "out_prefix": "null_control"}),
+                      "seed": 0, "s_weight": 0.0, "out_prefix": "null_control"}),
 }
 
 

@@ -1,6 +1,6 @@
 """Exception hierarchy.
 
-Mathematical guards (resonance, gain floor, divergence, broken certificates)
+Mathematical guards (resonance, singular pivot, gain floor, broken certificates)
 share a common base so the CLI can map them to exit code 3, distinct from
 usage errors (ValueError and friends, exit code 2).
 """
@@ -22,9 +22,5 @@ class GainFloorError(MathGuardError):
     """A feedback gain vanished, so the transformation would not invert."""
 
 
-class DivergenceError(MathGuardError):
-    """A schedule stage grew the state beyond its certified factor."""
-
-
 class CertificationError(MathGuardError):
-    """A certified bound failed to hold; aborts loudly rather than proceeding."""
+    """A certified bound failed to hold or a result overflowed; aborts loudly."""

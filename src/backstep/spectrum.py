@@ -66,7 +66,13 @@ class SpectrumModel:
             return float(self.levels[n - 1])
         if self.tabulated:
             raise ValueError(f"tabulated spectrum has no level {n} (n_max={self.n_max})")
-        return self.scale * float(n) ** self.alpha
+        try:
+            ell = self.scale * float(n) ** self.alpha
+        except OverflowError:
+            ell = math.inf
+        if ell < math.inf:
+            return ell
+        raise ValueError(f"level {n} of the law {self.scale} * n**{self.alpha} overflows float64")
 
 
 def make_spectrum(kind: Kind | str,
@@ -85,7 +91,11 @@ def make_spectrum(kind: Kind | str,
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
     n = np.arange(1, n_max + 1, dtype=float)
-    levels = scale * n ** alpha
+    with np.errstate(over="ignore"):        # refused just below
+        levels = scale * n ** alpha
+    if levels[-1] == math.inf:              # the largest level, as the levels increase
+        raise ValueError(f"level {int(np.argmax(levels == math.inf)) + 1} of the law "
+                         f"{scale} * n**{alpha} overflows float64")
     b = _materialize_b(b_law, n_max)
     return SpectrumModel(kind=kind, alpha=float(alpha), scale=float(scale), n_max=n_max,
                          b=b, levels=levels, gap_c=float(scale))
@@ -232,7 +242,7 @@ def verify_gaps(model: SpectrumModel, n_check: int | None = None) -> GapReport:
 
     conds = (
         GapCondition("consecutive_lower", c_lo, (i_lo + 1, i_lo + 2), c_lo > 0),
-        GapCondition("consecutive_upper", c_hi, (i_hi + 1, i_hi + 2), np.isfinite(c_hi) and c_hi > 0),
+        GapCondition("consecutive_upper", c_hi, (i_hi + 1, i_hi + 2), math.isfinite(c_hi) and c_hi > 0),
         GapCondition("pairwise", c_pair, (int(iu[0][j_pair]) + 1, int(iu[1][j_pair]) + 1), c_pair > 0),
         GapCondition("separation", c_sep, (int(iu[0][j_sep]) + 1, int(iu[1][j_sep]) + 1), c_sep > 0),
         GapCondition("control", b_lo, (int(np.argmin(b)) + 1, int(np.argmax(b)) + 1), b_lo > 0 and b_hi < math.inf),
@@ -358,7 +368,7 @@ def _index_bound(ratio: float, alpha: float, what: str) -> int:
     except OverflowError:
         bound = math.inf
     if bound > DEFAULT_INDEX_LIMIT:
-        raise ValueError(f"{what} {bound} exceeds index limit {DEFAULT_INDEX_LIMIT}")
+        raise ValueError(f"{what} {bound:.9g} exceeds index limit {DEFAULT_INDEX_LIMIT}")
     return bound
 
 

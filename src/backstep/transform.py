@@ -173,9 +173,9 @@ def assemble(model: SpectrumModel, lam: float, N: int,
     cert = _certify(model, lam, cert)
     table = node_table(model, N)
     cmat = build_cauchy(table, lam, cert.dist)
-    log_p, sgn_p, log_q, sgn_q = lagrange_products(table, lam)
     b = model.b[:N]
     with np.errstate(over="ignore", invalid="ignore"):    # reported just below
+        log_p, sgn_p, log_q, sgn_q = lagrange_products(table, lam)
         k = _product_kb(lam, log_p, sgn_p) / b
         q = sgn_q * np.exp(log_q)
     _check_finite(k, "gain k", lam)

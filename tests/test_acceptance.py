@@ -283,9 +283,13 @@ def test_c11_null_control(null_schedule):
     n = null_schedule.trunc
     y0 = np.zeros(n)
     y0[:2] = 1.0
-    rep = run_null_control(null_schedule, y0 / math.sqrt(2.0),
-                           growth_c_hat=1.0, growth_C_hat=10.0)
+    rep = run_null_control(null_schedule, y0 / math.sqrt(2.0))
     assert rep.final_ratio <= 1e-6, rep.final_ratio
+    # no stage grows the state beyond 10 e^{lambda^(1/alpha)}
+    alpha = null_schedule.model.alpha
+    for st, r in zip(null_schedule.stages, rep.records, strict=True):
+        if r.norm_in > 0:
+            assert r.norm_out <= 10.0 * math.exp(st.lam ** (1.0 / alpha)) * r.norm_in, st.index
     exps = [r.contraction_log for r in rep.records]
     for i in range(2, len(exps) - 1):
         assert exps[i + 1] < exps[i], exps

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -205,13 +206,6 @@ def test_null_control_tb_bound_exits_3(tmp_path, capsys):
     assert not (tmp_path / "null_control_trajectory.csv").exists()
 
 
-def test_null_control_zero_growth_constant_exits_3(tmp_path, capsys):
-    # an explicit 0 is a bound of 0, not a request for the default 10
-    assert run(tmp_path, "null-control", "--scale", "32", "--stages", "3", "--trunc", "48",
-               "--growth-c-hat", "0", "--growth-C-hat", "0") == 3
-    assert "beyond the certified factor 0.0" in capsys.readouterr().err
-
-
 def test_null_control_bad_y0_exits_2(tmp_path):
     (tmp_path / "y0.json").write_text("[1.0, 2.0]")
     assert run(tmp_path, "null-control", "--scale", "32", "--stages", "2",
@@ -315,7 +309,7 @@ def test_unknown_config_key_exits_2(tmp_path):
 
 @pytest.mark.parametrize("key,argv", [
     ("trunc", ("synth", "--lambda", "0.5")),
-    ("growth_C_hat", ("null-control", "--scale", "32", "--stages", "2")),
+    ("s_weight", ("null-control", "--scale", "32", "--stages", "2")),
 ])
 def test_null_config_value_exits_2(tmp_path, capsys, key, argv):
     (tmp_path / "cfg.json").write_text(json.dumps({key: None}))
@@ -351,8 +345,8 @@ BAD_SETTINGS = [
      '{"scale": "1"}', "setting scale must be a number, got '1'"),
     ("scale", ("null-control", "--config", "cfg.json"), '{"scale": "1"}',
      "setting scale must be a number, got '1'"),
-    ("growth_c_hat", ("null-control", "--scale", "32", "--stages", "2", "--config", "cfg.json"),
-     '{"growth_c_hat": "1"}', "setting growth_c_hat must be a number, got '1'"),
+    ("sigma", ("null-control", "--scale", "32", "--stages", "2", "--config", "cfg.json"),
+     '{"sigma": "1"}', "setting sigma must be a number, got '1'"),
     ("lam", ("synth", "--trunc", "8", "--config", "cfg.json"), '{"lam": true}',
      "setting lam must be a number, got True"),
     ("out", ("synth", "--lambda", "0.5", "--trunc", "8", "--config", "cfg.json"), '{"out": 5}',
@@ -377,6 +371,9 @@ BAD_SETTINGS = [
      "config file cfg.json must hold a JSON object"),
     ("config", ("null-control", "--config", "cfg.json"), "[1, 2]",
      "config file cfg.json must hold a JSON object"),
+    # null-control's user growth constants are gone, so are their keys
+    ("config", ("null-control", "--config", "cfg.json"), '{"growth_c_hat": 1, "growth_C_hat": 10}',
+     "unknown config keys for null-control: ['growth_C_hat', 'growth_c_hat']"),
 ]
 
 
@@ -389,6 +386,53 @@ def test_non_finite_setting_exits_2(tmp_path, capsys, key, argv, config, reason)
     assert run(tmp_path, *argv) == 2
     assert reason in capsys.readouterr().err
     assert [f.name for f in tmp_path.iterdir()] == ["cfg.json"]     # nothing written
+
+
+# inputs at the ends of the float range, each with its exit code and a part of
+# its one error line; m.json is a scale-32 power law of 200 modes
+EXTREME_INPUTS = [
+    # a law whose levels overflow float64: cauchy-verify passed on nan rows,
+    # synth and simulate blamed a gain (exit 3), spectrum-check and cost-sweep
+    # ended in a traceback
+    (("cauchy-verify", "--alpha", "1000"), 2, "level 3 of the law 1.0 * n**1000.0 overflows"),
+    (("synth", "--alpha", "1000"), 2, "level 3 of the law"),
+    (("simulate", "--alpha", "1000"), 2, "level 3 of the law"),
+    (("spectrum-check", "--scale", "1e308"), 2, "level 2 of the law 1e+308 * n**2.0"),
+    (("spectrum-check", "--kind", "skew_adjoint", "--alpha", "1000"), 2, "level 3 of the law"),
+    (("cost-sweep", "--alpha", "1e308", "--scale", "1e-8", "--n-range", "5", "--trunc", "2"), 2,
+     "level 2 of the law"),
+    # two finite stored levels, then an overflowing one from the law
+    (("cauchy-verify", "--alpha", "1000", "--sizes=-3"), 2, "level 3 of the law"),
+    # lambda^2 and the Lagrange products overflow: refused by cauchy-verify,
+    # and by synth's gain check, with no warning from the products
+    (("cauchy-verify", "--kind", "skew_adjoint", "--scale", "1e-300", "--lambda", "1e300",
+      "--n-base", "5"), 3, "N=2: identity residual nan: float64 overflow"),
+    (("synth", "--kind", "skew_adjoint", "--scale", "1e-300", "--lambda", "1e300", "--trunc", "4"),
+     3, "gain k[1] = (nan+nanj): float64 overflow"),
+    # counts past the index limit, which used to print every digit
+    (("cauchy-verify", "--lambda", "1e300"), 2, "enumeration bound 2e+300 exceeds index limit"),
+    (("cauchy-verify", "--scale", "1e-300", "--n-max", "3"), 2, "candidate grid size 1e+300"),
+    (("null-control", "--model", "m.json", "--gamma", "1000"), 2,
+     "candidate grid size 3.3484644e+299"),
+    # a removed flag
+    (("null-control", "--growth-c-hat", "1"), 2, "unrecognized arguments: --growth-c-hat 1"),
+]
+
+
+@pytest.mark.parametrize("argv,code,reason", EXTREME_INPUTS,
+                         ids=[" ".join(case[0]) for case in EXTREME_INPUTS])
+def test_extreme_input_exits_with_one_error_line(tmp_path, capsys, argv, code, reason):
+    (tmp_path / "m.json").write_text(model_to_json(make_spectrum(Kind.SELF_ADJOINT, 2.0, 32.0, 200)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")         # no RuntimeWarning may escape either
+        try:
+            got = run(tmp_path, *argv)
+        except SystemExit as exc:              # argparse's own usage error
+            got = exc.code
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert got == code and len(errors) == 1, errors
+    assert reason in errors[0] and len(errors[0]) <= 200, errors[0]
+    assert [f.name for f in tmp_path.iterdir()] == ["m.json"]     # nothing written
 
 
 def test_null_config_value_for_unset_key(tmp_path):
@@ -520,8 +564,6 @@ CLI_SURFACE = {
     "null-control": [*MODEL_FLAGS, ("--gamma", "gamma", 3.0), ("--sigma", "sigma", 2.5),
                      ("--horizon", "horizon", 1.0), ("--stages", "stages", 6),
                      ("--trunc", "trunc", 48), ("--y0-modes", "y0_modes", "1,2"), *STATE_FLAGS,
-                     ("--growth-c-hat", "growth_c_hat", None),
-                     ("--growth-C-hat", "growth_C_hat", 10.0),
                      ("--out-prefix", "out_prefix", "null_control")],
 }
 

@@ -69,7 +69,7 @@ def test_moved_names_live_only_in_oracles():
 
 
 DELETED = ("StateVector", "state", "norm_h", "norm_weighted", "ChiFunction",
-           "tail_log_bound", "truncation_entry_bar", "CauchySystem")
+           "tail_log_bound", "truncation_entry_bar", "CauchySystem", "DivergenceError")
 # the oracles the package root used to re-export; they live in `oracles` alone
 ROOT_DELETED = ("LogSignedProduct", "all_J", "bound_check_products", "bound_check_sums",
                 "chi", "condition_number", "eval_J", "factorization_residual",
@@ -81,7 +81,8 @@ def test_deleted_names_stay_deleted():
     """The state is a plain coefficient array and `chi` returns one: no module
     keeps a wrapper type or a norm helper for it.  The one-sided truncation
     tail majorants are gone everywhere, and so is `CauchySystem`: the Cauchy
-    kernels take a node table and lambda.  The root re-exports no oracle."""
+    kernels take a node table and lambda.  `DivergenceError` went with the
+    null-control run's user growth constants.  The root re-exports no oracle."""
     for name in ["backstep"] + [f"backstep.{p.stem}" for p in SRC.glob("*.py")
                                 if p.stem != "__init__"]:
         module = importlib.import_module(name)
@@ -100,8 +101,10 @@ DELETED_FIELDS = (("spectrum", "SpectrumModel", ("gap_C",)),
                   ("simulate", "Stage", ("base",)),
                   ("simulate", "StageRecord", ("index", "lam", "delta")),
                   ("simulate", "NullControlReport", ("final_ratio_weighted",)))
-# parameters that every caller gave one value
+# parameters that every caller gave one value, or that only a deleted check read
 DELETED_PARAMS = (("simulate", "run_null_control", "samples_per_stage"),
+                  ("simulate", "run_null_control", "growth_c_hat"),
+                  ("simulate", "run_null_control", "growth_C_hat"),
                   ("oracles", "oracle_inverse", "pivot_rtol"),
                   ("oracles", "lower_bound_check_F", "n_probe"))
 

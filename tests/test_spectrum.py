@@ -72,6 +72,18 @@ def test_alpha_guard():
         make_spectrum(Kind.SELF_ADJOINT, 0.5, 1.0, 4)
 
 
+def test_law_levels_past_the_float_range_are_refused():
+    # a stored level that overflows is refused when the model is built
+    with pytest.raises(ValueError, match=r"level 3 of the law 1\.0 \* n\*\*1000\.0 overflows float64"):
+        make_spectrum(Kind.SKEW_ADJOINT, 1000.0, 1.0, 4)
+    # past n_max the law's level is refused where it is asked for: the power
+    # raises OverflowError, or the product with scale rounds to inf
+    with pytest.raises(ValueError, match="level 3 of the law"):
+        make_spectrum(Kind.SELF_ADJOINT, 1000.0, 1.0, 2).level(3)
+    with pytest.raises(ValueError, match="level 100000000 of the law"):
+        make_spectrum(Kind.SELF_ADJOINT, 2.0, 1e300, 2).level(10 ** 8)
+
+
 def test_b_law_validation():
     m = make_spectrum(Kind.SELF_ADJOINT, 2.0, 1.0, 5, b_law=lambda n: 1.0 + 0.5 / n)
     assert np.min(m.b) > 1.0 and np.max(m.b) == 1.5
