@@ -108,11 +108,11 @@ class _Setting(NamedTuple):
 _SETTINGS = {
     **dict.fromkeys(("alpha", "scale", "lam", "gamma", "sigma", "horizon", "s_weight", "t_max"),
                     _Setting(float)),
-    **dict.fromkeys(("n_max", "n_check", "trunc", "stages", "t_steps"), _Setting(int)),
+    **dict.fromkeys(("n_check", "trunc", "stages", "t_steps"), _Setting(int)),
     **dict.fromkeys(("out", "out_prefix"), _Setting(str)),
     "y0_random": _Setting(bool),
     "kind": _Setting(str, choices=tuple(k.value for k in Kind)),
-    "model": _Setting(str, "model JSON file (overrides kind/alpha/scale/n-max)"),
+    "model": _Setting(str, "model JSON file (overrides kind/alpha/scale)"),
     "sizes": _Setting(str, "comma-separated truncations"),
     "n_range": _Setting(str, "inclusive range lo:hi"),
     "n_base": _Setting(int, "certified damping near this N"),
@@ -185,13 +185,12 @@ def _typed(key: str, v):
     return v
 
 
-def _resolve_model(cfg, n_max_floor: int = 2):
+def _resolve_model(cfg, size: int):
+    """The model file, or the law's model with the `size` modes the command
+    needs (at least 2): a law's levels do not depend on how many it stores."""
     if cfg.get("model"):
         return model_from_json(Path(cfg["model"]).read_text(encoding="utf-8"))
-    n_max = 2 if cfg["n_max"] is None else cfg["n_max"]
-    if n_max < 2:
-        raise ValueError(f"n_max must be at least 2, got {n_max}")
-    return make_spectrum(cfg["kind"], cfg["alpha"], cfg["scale"], max(n_max, n_max_floor))
+    return make_spectrum(cfg["kind"], cfg["alpha"], cfg["scale"], max(size, 2))
 
 
 def _resolve_lambda(model, cfg):
@@ -228,8 +227,8 @@ def _initial_state(cfg, n):
 
 
 def cmd_spectrum_check(cfg) -> int:
-    model = _resolve_model(cfg)
-    report = verify_gaps(model, cfg.get("n_check"))
+    model = _resolve_model(cfg, cfg["n_check"] or 200)
+    report = verify_gaps(model, cfg["n_check"])
     Path(cfg["out"]).write_text(json.dumps(report.to_dict(), indent=2) + "\n", encoding="utf-8")
     print(f"gap report -> {cfg['out']} (passed={report.passed})")
     return 0 if report.passed else 3
@@ -239,7 +238,7 @@ def cmd_cauchy_verify(cfg) -> int:
     sizes = [int(tok) for tok in cfg["sizes"].split(",") if tok.strip()]
     if not sizes:
         raise ValueError("empty size grid")
-    model = _resolve_model(cfg, n_max_floor=max(sizes))
+    model = _resolve_model(cfg, max(sizes))
     lam, cert = _resolve_lambda(model, cfg)
     from .oracles import oracle_inverse      # the reference layer loads only here
     lines = ["N,lambda,residual_identity,residual_oracle"]
@@ -266,7 +265,7 @@ def cmd_cauchy_verify(cfg) -> int:
 
 def cmd_synth(cfg) -> int:
     trunc = cfg["trunc"]
-    model = _resolve_model(cfg, n_max_floor=trunc)
+    model = _resolve_model(cfg, trunc)
     lam, cert = _resolve_lambda(model, cfg)
     synth = assemble(model, lam, trunc, cert)
     Path(cfg["out"]).write_text(synthesis_to_json(synth), encoding="utf-8")
@@ -278,7 +277,7 @@ def cmd_cost_sweep(cfg) -> int:
     lo, _, hi = cfg["n_range"].partition(":")
     bases = range(int(lo), int(hi or lo) + 1)
     trunc = cfg["trunc"]
-    model = _resolve_model(cfg, n_max_floor=trunc)
+    model = _resolve_model(cfg, trunc)
     result = cost_sweep(model, bases, trunc)
     sweep_to_csv(result, cfg["out"])
     print(f"cost sweep ({len(result.points)} points, {len(result.skipped)} skipped) -> {cfg['out']}")
@@ -287,7 +286,7 @@ def cmd_cost_sweep(cfg) -> int:
 
 def cmd_simulate(cfg) -> int:
     trunc = cfg["trunc"]
-    model = _resolve_model(cfg, n_max_floor=trunc)
+    model = _resolve_model(cfg, trunc)
     lam, cert = _resolve_lambda(model, cfg)
     synth = assemble(model, lam, trunc, cert)
     y0 = _initial_state(cfg, trunc)
@@ -317,7 +316,7 @@ def cmd_null_control(cfg) -> int:
         except OverflowError:
             raise ValueError(f"stages ** gamma + scale, the deepest stage's damping bound, "
                              f"overflows float64 (stages {stages}, gamma {cfg['gamma']})") from None
-    model = _resolve_model(cfg, n_max_floor=need)
+    model = _resolve_model(cfg, need)
     schedule = build_schedule(model, cfg["horizon"], cfg["gamma"], cfg["sigma"], stages, trunc)
     y0 = _initial_state(cfg, schedule.trunc)
     report = run_null_control(schedule, y0, cfg["s_weight"])
@@ -333,14 +332,12 @@ def cmd_null_control(cfg) -> int:
     return 0
 
 
-_MODEL_DEFAULTS = {"model": None, "kind": "self_adjoint", "alpha": 2.0,
-                   "scale": 1.0, "n_max": None}
+_MODEL_DEFAULTS = {"model": None, "kind": "self_adjoint", "alpha": 2.0, "scale": 1.0}
 
 # each command's handler, help line and settings with their defaults
 _COMMANDS = {
     "spectrum-check": (cmd_spectrum_check, "validate eigenvalue gap estimates",
-                       {**_MODEL_DEFAULTS, "n_max": 200, "n_check": None,
-                        "out": "gap_report.json"}),
+                       {**_MODEL_DEFAULTS, "n_check": None, "out": "gap_report.json"}),
     "cauchy-verify": (cmd_cauchy_verify, "explicit inverse vs dense oracle over a size grid",
                       {**_MODEL_DEFAULTS, "sizes": "2,4,8,16,32,64", "lam": None, "n_base": 1,
                        "out": "cauchy_verify.csv"}),

@@ -8,7 +8,7 @@ lambda^(1/alpha) witnesses the cost law exp(c lambda^(1/alpha)).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,7 +44,7 @@ def probe_depth(lam: float, alpha: float, N: int) -> int:
 
 @dataclass(frozen=True)
 class CostReport:
-    """One sweep point: exactly the columns of the sweep CSV."""
+    """One sweep point: the columns of the sweep CSV before the sweep's fitted exponent."""
     base: int
     lam: float
     dist: float
@@ -53,7 +53,6 @@ class CostReport:
     k_sup: float
     k_inf: float
     F_inf: float
-    fitted_exponent: float | None = None
 
     @property
     def cost(self) -> float:
@@ -98,13 +97,8 @@ def cost_sweep(model: SpectrumModel, bases, trunc: int) -> SweepResult:
             points.append(_sweep_point(model, base, trunc))
         except MathGuardError as exc:
             skipped.append((base, f"{type(exc).__name__}: {exc}"))
-    fit = linear_fit([p.lam ** (1.0 / model.alpha) for p in points],
-                     [math.log(p.cost) for p in points]) if len(points) >= 2 else None
-    if fit is not None:
-        slope, intercept, r2 = fit
-        points = [replace(p, fitted_exponent=slope) for p in points]
-    else:
-        slope = intercept = r2 = None
+    slope, intercept, r2 = linear_fit([p.lam ** (1.0 / model.alpha) for p in points],
+                                      [math.log(p.cost) for p in points]) or (None, None, None)
     return SweepResult(points=tuple(points), skipped=tuple(skipped),
                        slope=slope, intercept=intercept, r2=r2, alpha=model.alpha)
 
@@ -112,8 +106,8 @@ def cost_sweep(model: SpectrumModel, bases, trunc: int) -> SweepResult:
 def sweep_to_csv(result: SweepResult, path) -> None:
     """Header row, one row per point, '#'-prefixed fit footer."""
     lines = ["N,lambda,dist,norm_T,norm_Tinv,k_sup,k_inf,F_inf,fit_exponent"]
+    fit = "" if result.slope is None else fmt(result.slope)
     for p in result.points:
-        fit = "" if p.fitted_exponent is None else fmt(p.fitted_exponent)
         lines.append(",".join([str(p.base), fmt(p.lam), fmt(p.dist), fmt(p.norm_T),
                                fmt(p.norm_Tinv), fmt(p.k_sup), fmt(p.k_inf),
                                fmt(p.F_inf), fit]))

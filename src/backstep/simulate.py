@@ -39,8 +39,12 @@ _SAMPLES_PER_STAGE = 16   # trajectory rows per stage of a null-control run
 
 def s_weights(model: SpectrumModel, n: int, s: float) -> np.ndarray:
     """|lambda_j|^s for j <= n, the weights of the s-norm; |lambda_j| is the
-    level ell_j."""
-    return model.levels[:n] ** s
+    level ell_j.  Weights past the float range are refused."""
+    with np.errstate(over="ignore"):        # refused just below
+        weights = model.levels[:n] ** s
+    if not np.all(np.isfinite(weights)):
+        raise ValueError(f"s_weight {s}: the s-norm weights |lambda_j|^s overflow float64")
+    return weights
 
 
 def trajectory(synth: BacksteppingSynthesis, y: np.ndarray, ts) -> Iterator[np.ndarray]:
@@ -61,7 +65,11 @@ def trajectory(synth: BacksteppingSynthesis, y: np.ndarray, ts) -> Iterator[np.n
         raise ValueError(f"state length {y.size} mismatches truncation {synth.N}")
     w = synth.T_mat @ y
     rate = synth.eigenvalues - synth.lam
-    decay = np.exp(rate[None, :] * ts[:, None])
+    with np.errstate(over="ignore", invalid="ignore"):     # a rate * t past the float range
+        exponent = rate[None, :] * ts[:, None]
+        decay = np.exp(exponent)
+    # a factor of modulus e^{Re} = 0 is 0, though an infinite Im makes its phase nan
+    decay[np.isnan(decay) & (np.exp(exponent.real) == 0)] = 0
     return (synth.Tinv_mat @ (e * w) for e in decay)
 
 

@@ -66,13 +66,20 @@ class SpectrumModel:
             return float(self.levels[n - 1])
         if self.tabulated:
             raise ValueError(f"tabulated spectrum has no level {n} (n_max={self.n_max})")
-        try:
-            ell = self.scale * float(n) ** self.alpha
-        except OverflowError:
-            ell = math.inf
-        if ell < math.inf:
-            return ell
-        raise ValueError(f"level {n} of the law {self.scale} * n**{self.alpha} overflows float64")
+        return float(_law_levels(self.scale, self.alpha, n, n)[0])
+
+
+def _law_levels(scale: float, alpha: float, lo: int, hi: int) -> np.ndarray:
+    """ell_n = scale * n**alpha for lo <= n <= hi, refused past the float range:
+    every level of a law is this array power, whose bits do not depend on the
+    range (C `pow`, numpy's scalar power too, can differ in the last one)."""
+    n = np.arange(lo, hi + 1, dtype=float)
+    with np.errstate(over="ignore"):        # refused just below
+        levels = scale * n ** alpha
+    if levels[-1] == math.inf:              # the largest level, as the levels increase
+        raise ValueError(f"level {lo + int(np.argmax(levels == math.inf))} of the law "
+                         f"{scale} * n**{alpha} overflows float64")
+    return levels
 
 
 def make_spectrum(kind: Kind | str,
@@ -90,12 +97,7 @@ def make_spectrum(kind: Kind | str,
     check_law(alpha, scale)
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
-    n = np.arange(1, n_max + 1, dtype=float)
-    with np.errstate(over="ignore"):        # refused just below
-        levels = scale * n ** alpha
-    if levels[-1] == math.inf:              # the largest level, as the levels increase
-        raise ValueError(f"level {int(np.argmax(levels == math.inf)) + 1} of the law "
-                         f"{scale} * n**{alpha} overflows float64")
+    levels = _law_levels(scale, alpha, 1, n_max)
     b = _materialize_b(b_law, n_max)
     return SpectrumModel(kind=kind, alpha=float(alpha), scale=float(scale), n_max=n_max,
                          b=b, levels=levels, gap_c=float(scale))
@@ -356,9 +358,7 @@ def _levels_through(model: SpectrumModel, target: float) -> np.ndarray:
     if model.tabulated or model.levels[-1] >= target:
         return model.levels
     top = int((target / model.scale) ** (1.0 / model.alpha)) + 2
-    # past n_max, `level` fixes the bits: np.power can differ in the last one
-    tail = list(map(model.level, range(model.n_max + 1, top + 1)))
-    return np.concatenate((model.levels, tail))
+    return _law_levels(model.scale, model.alpha, 1, top)
 
 
 def _index_bound(ratio: float, alpha: float, what: str) -> int:

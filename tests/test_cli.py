@@ -27,9 +27,10 @@ def run(tmp_path, *argv):
 
 
 def test_spectrum_check(tmp_path):
-    assert run(tmp_path, "spectrum-check", "--alpha", "2", "--n-max", "200") == 0
+    # a law model stores the n_check modes that the report checks
+    assert run(tmp_path, "spectrum-check", "--alpha", "2", "--n-check", "300") == 0
     doc = json.loads((tmp_path / "gap_report.json").read_text())
-    assert doc["passed"] is True
+    assert doc["passed"] is True and doc["n_checked"] == 300
 
 
 def test_spectrum_check_alpha_guard(tmp_path, capsys):
@@ -96,7 +97,7 @@ def test_cost_sweep_grid_past_index_limit_exits_2(tmp_path, capsys):
 
 def test_cauchy_verify(tmp_path):
     assert run(tmp_path, "cauchy-verify", "--n-base", "1",
-               "--sizes", "2,4,8,16,32,64", "--n-max", "64") == 0
+               "--sizes", "2,4,8,16,32,64") == 0
     lines = (tmp_path / "cauchy_verify.csv").read_text().splitlines()
     assert lines[0] == "N,lambda,residual_identity,residual_oracle"
     body = [l for l in lines if not l.startswith(("N,", "#"))]
@@ -168,6 +169,44 @@ def test_simulate_trajectory(tmp_path):
     lines = (tmp_path / "trajectory.csv").read_text().splitlines()
     assert lines[0] == "t,norm_H,norm_s,u"
     assert len(lines) == 6
+
+
+@pytest.mark.parametrize("kind", list(Kind))
+def test_simulate_past_the_float_range_of_rate_times_t(tmp_path, kind):
+    # (lambda_n - lambda) t overflows: the self-adjoint run warned of it, the
+    # skew-adjoint one wrote nan rows, as e^{-lambda t} times a nan phase
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(tmp_path, "simulate", "--kind", kind.value, "--lambda", "0.5", "--trunc", "8",
+                   "--t-max", "1e308") == 0
+    rows = (tmp_path / "trajectory.csv").read_text().splitlines()[1:]
+    fields = [complex(f.replace("i", "j")) for row in rows for f in row.split(",")]
+    assert len(rows) == 51 and all(np.isfinite(z) for z in fields)
+    assert rows[-1] == "1e+308,0,0,0"
+
+
+def test_certificates_do_not_depend_on_truncation(tmp_path):
+    # the witness pair of N = 11's damping at alpha 1.5 lies past 8 modes:
+    # its levels are the bits of the stored ones, so trunc 8 and 60 agree
+    dists = []
+    for trunc in ("8", "60"):
+        assert run(tmp_path, "synth", "--alpha", "1.5", "--n-base", "11", "--trunc", trunc) == 0
+        dists.append(json.loads((tmp_path / "synthesis.json").read_text())["dist"])
+    assert dists == [0.04960585664684203] * 2
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_n_max_is_gone_from_every_command(tmp_path, capsys, command):
+    # a law model stores the modes its command needs: neither a flag nor a
+    # config key sets how many
+    with pytest.raises(SystemExit) as exc:         # argparse's own usage error
+        run(tmp_path, command, "--n-max", "60")
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --n-max 60" in capsys.readouterr().err
+    (tmp_path / "cfg.json").write_text(json.dumps({"n_max": 60}))
+    assert run(tmp_path, command, "--config", "cfg.json") == 2
+    assert f"unknown config keys for {command}: ['n_max']" in capsys.readouterr().err
+    assert [f.name for f in tmp_path.iterdir()] == ["cfg.json"]     # nothing written
 
 
 @pytest.mark.parametrize("y0,reason", [
@@ -267,25 +306,6 @@ def test_truncation_too_large_to_hold_exits_2(tmp_path, capsys, argv):
     assert run(tmp_path, *argv, "--trunc", "5000000") == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "TiB" in err
-    assert list(tmp_path.iterdir()) == []
-
-
-@pytest.mark.parametrize("argv,n_max", [
-    (("spectrum-check",), "0"),
-    (("cauchy-verify", "--sizes", "2"), "0"),
-    (("synth", "--lambda", "0.5", "--trunc", "8"), "0"),
-    (("synth", "--lambda", "0.5", "--trunc", "8"), "1"),
-    (("synth", "--lambda", "0.5", "--trunc", "8"), "-5"),
-    (("cost-sweep", "--n-range", "1:1", "--trunc", "8"), "0"),
-    (("simulate", "--lambda", "0.5", "--trunc", "8"), "0"),
-    (("null-control", "--scale", "32", "--stages", "2"), "0"),
-])
-def test_n_max_below_two_exits_2(tmp_path, capsys, argv, n_max):
-    # an explicit --n-max is a model setting, not "unset": below 2 it is
-    # refused, whatever truncation the command would lift it to
-    assert run(tmp_path, *argv, "--n-max", n_max) == 2
-    err = capsys.readouterr().err
-    assert err == f"error: n_max must be at least 2, got {n_max}\n"
     assert list(tmp_path.iterdir()) == []
 
 
@@ -411,11 +431,18 @@ EXTREME_INPUTS = [
      3, "gain k[1] = (nan+nanj): float64 overflow"),
     # counts past the index limit, which used to print every digit
     (("cauchy-verify", "--lambda", "1e300"), 2, "enumeration bound 2e+300 exceeds index limit"),
-    (("cauchy-verify", "--scale", "1e-300", "--n-max", "3"), 2, "candidate grid size 1e+300"),
+    (("cauchy-verify", "--scale", "1e-300"), 2, "candidate grid size 1e+300"),
     (("null-control", "--model", "m.json", "--gamma", "1000"), 2,
      "candidate grid size 3.3484644e+299"),
-    # a removed flag
+    # removed flags: a law's levels do not depend on how many the model stores
     (("null-control", "--growth-c-hat", "1"), 2, "unrecognized arguments: --growth-c-hat 1"),
+    (("synth", "--n-max", "60"), 2, "unrecognized arguments: --n-max 60"),
+    # s-norm weights |lambda_j|^s past the float range: these exited 0 on
+    # nan and inf norms
+    (("simulate", "--lambda", "0.5", "--trunc", "8", "--s-weight", "1e308"), 2,
+     "s_weight 1e+308: the s-norm weights |lambda_j|^s overflow float64"),
+    (("null-control", "--scale", "32", "--stages", "2", "--s-weight", "1e308"), 2,
+     "s_weight 1e+308: the s-norm weights |lambda_j|^s overflow float64"),
 ]
 
 
@@ -503,7 +530,7 @@ def test_config_seed_must_be_a_non_negative_integer(tmp_path, capsys, seed):
     ("trunc", ("synth", "--lambda", "0.5")),
     ("stages", ("null-control", "--scale", "32", "--trunc", "16")),
     ("n_base", ("synth", "--trunc", "8")),
-    ("n_max", ("synth", "--lambda", "0.5", "--trunc", "8")),
+    ("trunc", ("cost-sweep", "--n-range", "1:1")),
     ("n_check", ("spectrum-check",)),
     ("t_steps", ("simulate", "--lambda", "0.5", "--trunc", "8")),
 ])
@@ -542,14 +569,14 @@ def test_parser_is_built_once_and_keeps_no_values(tmp_path):
 
 
 MODEL_FLAGS = [("--model", "model", None), ("--kind", "kind", "self_adjoint"),
-               ("--alpha", "alpha", 2.0), ("--scale", "scale", 1.0), ("--n-max", "n_max", None)]
+               ("--alpha", "alpha", 2.0), ("--scale", "scale", 1.0)]
 STATE_FLAGS = [("--y0-file", "y0_file", None), ("--y0-random", "y0_random", False),
                ("--seed", "seed", 0), ("--s-weight", "s_weight", 0.0)]
 
 # each subcommand's flags in --help order, with their dests and defaults;
 # every subcommand also takes --config
 CLI_SURFACE = {
-    "spectrum-check": [*MODEL_FLAGS[:4], ("--n-max", "n_max", 200), ("--n-check", "n_check", None),
+    "spectrum-check": [*MODEL_FLAGS, ("--n-check", "n_check", None),
                        ("--out", "out", "gap_report.json")],
     "cauchy-verify": [*MODEL_FLAGS, ("--sizes", "sizes", "2,4,8,16,32,64"), ("--lambda", "lam", None),
                       ("--n-base", "n_base", 1), ("--out", "out", "cauchy_verify.csv")],

@@ -5,9 +5,10 @@
 neither the package root nor a runtime module keeps a copy or an alias of
 what lives there, the closed-loop checks included.  The TB = B certification
 lives in `transform` alone, the allocator policy in `cli` alone, the node
-differences in `cauchy`'s node table alone, and no runtime module draws from
-numpy's random module.  Names, fields and parameters that no command reads
-stay deleted.
+differences in `cauchy`'s node table alone, a law's levels in `spectrum`'s
+one law function alone, and no runtime module draws from numpy's random
+module.  Names, fields, parameters and settings that no command reads stay
+deleted.
 """
 
 import ast
@@ -97,6 +98,7 @@ def test_deleted_names_stay_deleted():
 
 # fields that copied another field or that nothing read
 DELETED_FIELDS = (("spectrum", "SpectrumModel", ("gap_C",)),
+                  ("quantitative", "CostReport", ("fitted_exponent",)),
                   ("transform", "BacksteppingSynthesis", ("kb",)),
                   ("simulate", "Stage", ("base",)),
                   ("simulate", "StageRecord", ("index", "lam", "delta")),
@@ -306,18 +308,23 @@ def _is_outer_difference(node: ast.AST) -> bool:
         isinstance(node.value, ast.Attribute) and node.value.attr == "subtract"
 
 
-def _pairwise_differences(tree: ast.AST, where: str = "<module>") -> set[str]:
-    """Names of the innermost functions that form outer differences, by
-    broadcasting or by `subtract.outer`."""
+def _innermost_functions(tree: ast.AST, holds, where: str = "<module>") -> set[str]:
+    """Names of the innermost functions that hold a node for which `holds` is true."""
     found = set()
     for node in ast.iter_child_nodes(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            found |= _pairwise_differences(node, node.name)
+            found |= _innermost_functions(node, holds, node.name)
         else:
-            if _is_outer_difference(node):
+            if holds(node):
                 found.add(where)
-            found |= _pairwise_differences(node, where)
+            found |= _innermost_functions(node, holds, where)
     return found
+
+
+def _pairwise_differences(tree: ast.AST) -> set[str]:
+    """Names of the innermost functions that form outer differences, by
+    broadcasting or by `subtract.outer`."""
+    return _innermost_functions(tree, _is_outer_difference)
 
 
 def test_node_differences_come_from_the_node_table():
@@ -349,3 +356,59 @@ def test_node_differences_come_from_the_node_table():
                 for n in ast.walk(kernel)
                 if isinstance(n, (ast.BinOp, ast.AugAssign)) and isinstance(n.op, ast.Div)]
     assert divides == [] and divisors == ["logs"]
+
+
+def test_n_max_is_no_setting():
+    """A law model stores the modes its command needs, and its levels do not
+    depend on how many that is: no command takes an n_max."""
+    assert "n_max" not in cli._SETTINGS
+    assert all("n_max" not in defaults for _, _, defaults in cli._COMMANDS.values())
+
+
+# (module, function) that may raise to a model's exponent alpha: the law
+# function, and the gap report's separation |k - n|^alpha (index differences,
+# not levels)
+MAY_RAISE_TO_ALPHA = {("spectrum.py", "_law_levels"), ("spectrum.py", "verify_gaps")}
+
+
+def _is_alpha(node: ast.AST) -> bool:
+    """`alpha`, `<x>.alpha` or `<x>["alpha"]`."""
+    return (isinstance(node, ast.Name) and node.id == "alpha"
+            or isinstance(node, ast.Attribute) and node.attr == "alpha"
+            or isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Constant)
+            and node.slice.value == "alpha")
+
+
+def _raises_to_alpha(node: ast.AST) -> bool:
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+        return _is_alpha(node.right)
+    if isinstance(node, ast.Call) and len(node.args) == 2:
+        name = node.func.attr if isinstance(node.func, ast.Attribute) else \
+            getattr(node.func, "id", None)
+        return name in ("pow", "power", "float_power") and _is_alpha(node.args[1])
+    return False
+
+
+def _alpha_powers(tree: ast.AST) -> set[str]:
+    """Names of the innermost functions that raise a value to alpha."""
+    return _innermost_functions(tree, _raises_to_alpha)
+
+
+def test_law_levels_come_from_one_function():
+    """Every level of a power law is `spectrum._law_levels`'s array power, so
+    a level's bits do not depend on the range it is evaluated over; no other
+    runtime function raises to a model's alpha (powers of 1/alpha, the
+    inverse law, and of alpha - 1 are other quantities)."""
+    for code in ("def f(m, n): return m.scale * float(n) ** m.alpha",
+                 "def f(n, alpha): return np.power(n, alpha)",
+                 "def f(n, cfg): return math.pow(n, cfg['alpha'])",
+                 "def f(n, alpha): return pow(n, alpha)"):
+        assert _alpha_powers(ast.parse(code)) == {"f"}, code
+    for code in ("def f(lam, m): return lam ** (1.0 / m.alpha)",
+                 "def f(n, alpha): return n ** (alpha - 1.0)",
+                 "def f(k, gamma): return k ** gamma"):
+        assert _alpha_powers(ast.parse(code)) == set(), code
+    runtime = [p for p in SRC.glob("*.py") if p.name != "oracles.py"]
+    users = {(p.name, name) for p in runtime
+             for name in _alpha_powers(ast.parse(p.read_text(encoding="utf-8")))}
+    assert users == MAY_RAISE_TO_ALPHA

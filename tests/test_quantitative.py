@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from backstep.cauchy import lagrange_products, node_table
+from backstep.cauchy import format_scalar, lagrange_products, node_table
 from backstep.errors import ResonanceError
 from backstep.oracles import (all_J, bound_check_products, bound_check_sums, eval_J,
                               gain_cross_check, lower_bound_check_F)
@@ -122,7 +122,6 @@ def test_cost_sweep_small():
         mu, cert = select_mu(m, p.base)
         assert gain_cross_check(m, mu, 80, cert) <= 1.0
         assert assemble(m, mu, 80, cert).tb_residual_max <= 1e-9
-        assert p.fitted_exponent == res.slope
     with pytest.raises(ValueError):
         cost_sweep(m, [], 80)
 
@@ -130,7 +129,7 @@ def test_cost_sweep_small():
 def test_cost_sweep_single_point_no_fit():
     m = make_spectrum(Kind.SELF_ADJOINT, 2.0, 1.0, 64)
     res = cost_sweep(m, [2], 48)
-    assert res.slope is None and res.points[0].fitted_exponent is None
+    assert res.slope is None and res.intercept is None and res.r2 is None
 
 
 def test_cost_sweep_skips_failed_point(monkeypatch):
@@ -166,6 +165,8 @@ def test_sweep_csv(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "N,lambda,dist,norm_T,norm_Tinv,k_sup,k_inf,F_inf,fit_exponent"
     assert len([l for l in lines if not l.startswith("#")]) == 4
+    # each row ends with the sweep's one fitted exponent
+    assert {l.rsplit(",", 1)[1] for l in lines[1:4]} == {format_scalar(res.slope)}
     assert lines[-1].startswith("# fit:")
 
 

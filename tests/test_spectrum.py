@@ -77,7 +77,7 @@ def test_law_levels_past_the_float_range_are_refused():
     with pytest.raises(ValueError, match=r"level 3 of the law 1\.0 \* n\*\*1000\.0 overflows float64"):
         make_spectrum(Kind.SKEW_ADJOINT, 1000.0, 1.0, 4)
     # past n_max the law's level is refused where it is asked for: the power
-    # raises OverflowError, or the product with scale rounds to inf
+    # rounds to inf, or the product with scale does
     with pytest.raises(ValueError, match="level 3 of the law"):
         make_spectrum(Kind.SELF_ADJOINT, 1000.0, 1.0, 2).level(3)
     with pytest.raises(ValueError, match="level 100000000 of the law"):
@@ -169,6 +169,29 @@ def test_dist_matches_enumeration_past_n_max(alpha, scale):
     for lam in lams:
         cert = dist_alpha(m, float(lam))
         assert (cert.dist, cert.witness_pair) == brute_cert(m, float(lam), law_reach(m, lam))
+
+
+@pytest.mark.parametrize("alpha", [1.5, 1.75])
+def test_levels_past_n_max_are_the_stored_levels_bits(alpha):
+    # one array evaluation of the law: a level asked for past n_max has the
+    # bits it has when stored (C pow differs in the last bit on ~5% of them)
+    for scale in (1.0, 0.37):
+        big = make_spectrum(Kind.SELF_ADJOINT, alpha, scale, 20000)
+        small = make_spectrum(Kind.SELF_ADJOINT, alpha, scale, 2)
+        assert [small.level(k) for k in range(1, 20001)] == big.levels.tolist()
+        through = spectrum._levels_through(small, big.levels[-1])
+        assert through[:20000].tobytes() == big.levels.tobytes()
+
+
+@pytest.mark.parametrize("alpha", [1.5, 1.75])
+def test_certificates_do_not_depend_on_n_max(alpha):
+    # dist_alpha and select_mu read levels past a small model's n_max; they
+    # certify what a model storing every level they read certifies
+    small, big = heat(2, alpha), heat(4000, alpha)
+    for lam in np.linspace(0.3, 60.0, 1000).tolist():
+        assert dist_alpha(small, lam) == dist_alpha(big, lam), lam
+    for N in range(1, 40):
+        assert select_mu(small, N) == select_mu(big, N), N
 
 
 def test_dist_matches_enumeration_tabulated():
