@@ -62,6 +62,12 @@ def csum(values: Sequence[complex] | np.ndarray) -> complex | np.ndarray:
 _BLOCK_ELEMENTS = 1 << 15   # terms extracted together: temporaries stay at 256 KiB
 
 
+def block_rows(n: int) -> int:
+    """Rows of n terms that `_row_sums` extracts together: about
+    `_BLOCK_ELEMENTS` terms, and at least one row."""
+    return max(1, _BLOCK_ELEMENTS // n)
+
+
 def _row_sums(mat: np.ndarray) -> np.ndarray:
     """`math.fsum` of every row of a real matrix, bit for bit, without a
     Python step per row or per term.
@@ -84,8 +90,8 @@ def _row_sums(mat: np.ndarray) -> np.ndarray:
     otherwise fsum runs over the row's few taus.  A row whose largest term
     is not finite or is at least 2^(1020 - M) is summed by fsum itself,
     which keeps its OverflowError, ValueError and NaN behaviour.  An exactly
-    zero sum is +0.0, as in fsum.  Rows are extracted in blocks of about
-    `_BLOCK_ELEMENTS` terms; |p| and each sigma + p go into one preallocated
+    zero sum is +0.0, as in fsum.  Rows are extracted in blocks of
+    `block_rows(n)` rows; |p| and each sigma + p go into one preallocated
     block.
     """
     rows, n = mat.shape
@@ -94,7 +100,7 @@ def _row_sums(mat: np.ndarray) -> np.ndarray:
         return out
     m = (n + 1).bit_length()                  # ceil(log2(n + 2))
     limit = math.ldexp(1.0, 1020 - m)         # sigma + p stays below 2^1021
-    step = max(1, _BLOCK_ELEMENTS // n)
+    step = block_rows(n)
     work = np.empty((min(step, rows), n))
     for lo in range(0, rows, step):
         block = out[lo:lo + step]                 # a view: written in place
@@ -209,6 +215,10 @@ def lagrange_products(table: NodeTable, lam: float
         so N = 1 takes the general route;
       - other complex nodes: the product of the units f / |f| along rows
         and along columns.
+    A column reduction runs over the rows of a transposed copy, which round
+    as the rows of a 1 - q matrix would (`_column_reduce`).  The real path
+    reads the parities first and then takes |f| and log|f| in place over f,
+    so it holds f and half a transposed copy: 1.5 N x N blocks.
     """
     if not table.simple:
         raise ResonanceError("repeated eigenvalue: Lagrange products need simple nodes")
@@ -216,24 +226,34 @@ def lagrange_products(table: NodeTable, lam: float
     f += 1.0
     if np.any(f == 0.0):
         raise ResonanceError("a Lagrange factor vanished: lambda equals lambda_i - lambda_m exactly")
-    cplx = np.iscomplexobj(f)
-    logs = np.abs(f)
-    if cplx:
-        f *= 1.0 / logs              # f now holds the unit signs
-    np.log(logs, out=logs)
-    log_p = np.sum(logs, axis=1)
-    if not cplx:
+    if not np.iscomplexobj(f):
         # a parity is the low bit of a count, and a uint8 count wraps mod 256,
         # which keeps it (xor.reduce along rows is ~12x slower at N = 300)
         neg = (f < 0.0).view(np.uint8)
-        # Q's logs are reduced as C-contiguous rows, which round as the rows
-        # of a 1 - q matrix would
-        return (log_p, 1.0 - 2.0 * (neg.sum(axis=1, dtype=np.uint8) & 1),
-                np.sum(logs.T.copy(), axis=1), 1.0 - 2.0 * (neg.sum(axis=0, dtype=np.uint8) & 1))
+        sgn_p = 1.0 - 2.0 * (neg.sum(axis=1, dtype=np.uint8) & 1)
+        sgn_q = 1.0 - 2.0 * (neg.sum(axis=0, dtype=np.uint8) & 1)
+        del neg
+        logs = np.log(np.abs(f, out=f), out=f)
+        return np.sum(logs, axis=1), sgn_p, _column_reduce(np.sum, logs), sgn_q
+    logs = np.abs(f)
+    f *= 1.0 / logs              # f now holds the unit signs
+    np.log(logs, out=logs)
+    log_p = np.sum(logs, axis=1)
     sgn_p = np.prod(f, axis=1)
     if table.x.size > 1 and not np.any(table.x.real):
         return log_p, sgn_p, log_p.copy(), sgn_p.conj()
-    return log_p, sgn_p, np.sum(logs.T.copy(), axis=1), np.prod(f.T.copy(), axis=1)
+    return log_p, sgn_p, _column_reduce(np.sum, logs), _column_reduce(np.prod, f)
+
+
+def _column_reduce(reduce, mat: np.ndarray) -> np.ndarray:
+    """`reduce(mat.T.copy(), axis=1)`, bit for bit, from two half-width
+    transposed copies: each column is reduced as one C-contiguous row, and
+    only half of the whole copy exists at a time."""
+    out = np.empty(mat.shape[1], dtype=mat.dtype)
+    half = (len(out) + 1) // 2
+    for cols in (slice(0, half), slice(half, None)):
+        reduce(mat[:, cols].T.copy(), axis=1, out=out[cols])
+    return out
 
 
 def explicit_inverse(table: NodeTable, lam: float, min_sep: float | None = None) -> np.ndarray:

@@ -60,7 +60,7 @@ def main(argv=None) -> int:
 
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3     # glibc's mallopt parameter numbers
 _MMAP_THRESHOLD = 4 << 20       # bytes; N x N float64 blocks up to N = 724 stay in the heap
-_TRIM_THRESHOLD = 16 << 20      # bytes of free heap top kept; one sweep point needs ~5.4 MB
+_TRIM_THRESHOLD = 16 << 20      # bytes of free heap top kept; one sweep point peaks at ~3.3 MB
 
 
 def _glibc() -> bool:
@@ -78,7 +78,7 @@ def _retain_heap() -> None:
     then the size of the largest freed mapped block) and returns a free heap
     top above twice that threshold to the OS.  Each synthesis frees its
     N x N temporaries, so under those defaults the next one faults them in
-    again: about 33,560 minor faults per README cost sweep (1,340 pages per
+    again: about 10,550 minor faults per README cost sweep (422 pages per
     point).  With blocks below 4 MiB kept in the heap and up to 16 MiB of
     free top retained, a second sweep in one process faults at most a page
     or two.  Off glibc this does nothing.

@@ -51,7 +51,9 @@ def trajectory(synth: BacksteppingSynthesis, y: np.ndarray, ts) -> Iterator[np.n
     """The coefficients of T^-1 diag(e^{(lambda_n - lambda) t}) T y at each time
     of `ts`, in order.
 
-    The inputs are checked before the first state is formed.  T y, the
+    The inputs are checked before the first state is formed, and so is every
+    factor: a phase ell_n t past the float range is refused (ValueError)
+    unless its modulus e^{-lambda t} is 0, where the factor is 0.  T y, the
     rates lambda_n - lambda and every factor e^{(lambda_n - lambda) t} are
     formed once, the factors by one exponential over the (times x modes)
     products; each time then costs one matrix-vector product.  One matrix
@@ -68,8 +70,17 @@ def trajectory(synth: BacksteppingSynthesis, y: np.ndarray, ts) -> Iterator[np.n
     with np.errstate(over="ignore", invalid="ignore"):     # a rate * t past the float range
         exponent = rate[None, :] * ts[:, None]
         decay = np.exp(exponent)
-    # a factor of modulus e^{Re} = 0 is 0, though an infinite Im makes its phase nan
-    decay[np.isnan(decay) & (np.exp(exponent.real) == 0)] = 0
+    lost = np.isnan(decay)
+    if lost.any():
+        # a factor of modulus e^{Re} = 0 is 0, though an infinite Im makes its
+        # phase nan; at a nonzero modulus no float64 value represents it
+        decay[lost & (np.exp(exponent.real) == 0)] = 0
+        bad = np.argwhere(np.isnan(decay))
+        if bad.size:
+            i, n = bad[0]
+            raise ValueError(f"phase ell_{n + 1} t = {synth.model.levels[n]} * {ts[i]} overflows "
+                             f"float64 at a nonzero modulus e^(-lambda t); the state has no "
+                             f"float64 value")
     return (synth.Tinv_mat @ (e * w) for e in decay)
 
 

@@ -213,6 +213,10 @@ def verify_gaps(model: SpectrumModel, n_check: int | None = None) -> GapReport:
       control:            0 < b_lo <= b_n <= b_hi
 
     Report-only: a zero or negative constant marks the condition failed.
+    An alpha whose normalizers n^(a-1) or |k-n|^a overflow float64 within
+    the checked modes is refused (ValueError): those constants would be 0
+    from the overflow, not from the gaps.  `make_tabulated` checks every
+    mode, so a table is refused when it is built.
     """
     n_check = model.n_max if n_check is None else n_check
     if n_check > model.n_max or n_check < 2:
@@ -220,22 +224,27 @@ def verify_gaps(model: SpectrumModel, n_check: int | None = None) -> GapReport:
     lv = model.levels[:n_check]
     alpha = model.alpha
     idx = np.arange(1, n_check, dtype=float)
-
-    consec = np.diff(lv) / idx ** (alpha - 1.0)
+    ks = np.arange(1, n_check + 1, dtype=float)
+    iu = np.triu_indices(n_check, k=1)  # (n, k) with k > n
+    with np.errstate(over="ignore"):    # refused just below
+        consec_norm = idx ** (alpha - 1.0)
+        pair_norm = (ks[iu[1]] ** (alpha - 1.0)) * (ks[iu[1]] - ks[iu[0]])
+        sep_norm = (ks[iu[1]] - ks[iu[0]]) ** alpha
+    if not all(np.isfinite(norm).all() for norm in (consec_norm, pair_norm, sep_norm)):
+        raise ValueError(f"alpha {alpha} is too large for {n_check} modes: the gap "
+                         f"normalizers n**(alpha - 1) and |k - n|**alpha overflow float64")
+    consec = np.diff(lv) / consec_norm
     i_lo = int(np.argmin(consec))
     i_hi = int(np.argmax(consec))
     c_lo = float(consec[i_lo])
     c_hi = float(consec[i_hi])
 
-    ks = np.arange(1, n_check + 1, dtype=float)
     diff = np.abs(lv[:, None] - lv[None, :])
-    iu = np.triu_indices(n_check, k=1)  # (n, k) with k > n
-    pair_norm = (ks[iu[1]] ** (alpha - 1.0)) * (ks[iu[1]] - ks[iu[0]])
     pair_ratios = diff[iu] / pair_norm
     j_pair = int(np.argmin(pair_ratios))
     c_pair = float(pair_ratios[j_pair])
 
-    sep_ratios = diff[iu] / (ks[iu[1]] - ks[iu[0]]) ** alpha
+    sep_ratios = diff[iu] / sep_norm
     j_sep = int(np.argmin(sep_ratios))
     c_sep = float(sep_ratios[j_sep])
 
@@ -439,6 +448,8 @@ def model_from_json(text: str) -> SpectrumModel:
         raise ValueError("model document must be a JSON object")
 
     def field(key, convert):
+        if key not in doc:
+            raise ValueError(f"model field {key!r} is missing")
         try:
             return convert(doc[key])
         except (TypeError, ValueError) as exc:

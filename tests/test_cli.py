@@ -82,6 +82,32 @@ def test_malformed_model_document_exits_2(tmp_path, capsys, text, reason):
     assert reason in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["kind", "alpha", "n_max", "b", "eigenvalues"])
+def test_model_document_names_a_missing_field(tmp_path, capsys, key):
+    doc = json.loads(_law_doc())
+    del doc[key]
+    (tmp_path / "m.json").write_text(json.dumps(doc))
+    assert run(tmp_path, "synth", "--model", "m.json", "--lambda", "0.5", "--trunc", "4") == 2
+    assert capsys.readouterr().err == f"error: model field {key!r} is missing\n"
+
+
+@pytest.mark.parametrize("command", [("spectrum-check",), ("synth", "--lambda", "0.5", "--trunc", "8")])
+def test_tabulated_alpha_past_the_gap_normalizers_exits_2(tmp_path, capsys, command):
+    # levels n^2 with alpha 1000: the gap normalizers n**(alpha - 1) overflow,
+    # which made every gap constant 0 (three RuntimeWarnings, then exit 3)
+    doc = json.loads(model_to_json(make_tabulated(
+        Kind.SELF_ADJOINT, 2.0, [-float(n * n) for n in range(1, 200)])))
+    doc["alpha"] = 1000.0
+    (tmp_path / "m.json").write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(tmp_path, *command, "--model", "m.json") == 2
+    assert capsys.readouterr().err == ("error: alpha 1000.0 is too large for 199 modes: the gap "
+                                       "normalizers n**(alpha - 1) and |k - n|**alpha overflow "
+                                       "float64\n")
+    assert [f.name for f in tmp_path.iterdir()] == ["m.json"]
+
+
 def test_tabulated_synth_reports_exact_distance(tmp_path):
     tab = -np.cumsum(np.random.default_rng(14).uniform(0.5, 9.0, 120)) - 0.25
     (tmp_path / "tab.json").write_text(model_to_json(make_tabulated(Kind.SELF_ADJOINT, 2.0, tab)))
@@ -443,6 +469,10 @@ EXTREME_INPUTS = [
      "s_weight 1e+308: the s-norm weights |lambda_j|^s overflow float64"),
     (("null-control", "--scale", "32", "--stages", "2", "--s-weight", "1e308"), 2,
      "s_weight 1e+308: the s-norm weights |lambda_j|^s overflow float64"),
+    # a phase ell_n t past the float range at a modulus e^(-lambda t) of about
+    # e^(-3): this wrote nan rows and exited 0
+    (("simulate", "--kind", "skew_adjoint", "--scale", "1e300", "--lambda", "1e-6", "--trunc", "8",
+      "--t-max", "1e7"), 2, "phase ell_8 t = 6.4e+301 * 3000000.0 overflows float64"),
 ]
 
 

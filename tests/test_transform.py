@@ -2,6 +2,7 @@ import functools
 import math
 import random
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -357,10 +358,17 @@ def test_lanczos_start_vector_is_cached_and_read_only():
 
 
 def test_inverse_residual_matches_identity_subtraction():
+    # the product is formed in two row halves, the first one row longer at
+    # odd N, and in one block at N = 1; a half's last bits can differ from
+    # those of the same rows of one N x N product
     sk = make_spectrum(Kind.SKEW_ADJOINT, 2.0, 1.0, 64)
-    for model, lam in ((heat(), 4.0714285714285716), (sk, 9.5), (heat(), 0.5)):
-        synth = assemble(model, lam, 48)
-        ref = float(np.max(np.abs(synth.T_mat @ synth.Tinv_mat - np.eye(48))))
+    for model, lam, N in ((heat(), 4.0714285714285716, 48), (sk, 9.5, 48), (heat(), 0.5, 48),
+                          (heat(), 4.0714285714285716, 47), (sk, 9.5, 1)):
+        synth = assemble(model, lam, N)
+        half = (N + 1) // 2
+        halves = [synth.T_mat[rows] @ synth.Tinv_mat - np.eye(N)[rows]
+                  for rows in (slice(0, half), slice(half, N))]
+        ref = float(np.max(np.abs(np.concatenate(halves))))
         assert inverse_residual(synth) == ref
 
 
@@ -483,6 +491,38 @@ def test_row_sums_match_per_row_loop(kind):
         sums = np.array([csum(row) for row in cols], dtype=cols.dtype)
         bars = _term_relerr(N) * (1.0 + mu * np.sum(np.abs(cols), axis=1))
         assert gain_cross_check(m, mu, N, cert) == float(np.max(np.abs(mu * sums + 1.0) / bars))
+
+
+@pytest.mark.parametrize("kind", [Kind.SELF_ADJOINT, Kind.SKEW_ADJOINT])
+def test_tb_residuals_span_extraction_blocks(kind):
+    # at N = 300 C diag(kb) is formed in three extraction blocks of rows;
+    # the sums keep the bits of one csum over the whole product
+    from backstep.cauchy import block_rows, csum
+    from backstep.transform import _tb_residuals
+    m = make_spectrum(kind, 2.0, 1.0, 300)
+    mu, cert = select_mu(m, 25)
+    s = assemble(m, mu, 300, cert)
+    C = build_cauchy(node_table(m, 300), mu, cert.dist)
+    assert block_rows(300) == 109
+    d = csum(C * (s.k * s.b)[None, :]) - 1.0
+    whole = np.abs(d) if kind is Kind.SELF_ADJOINT else np.hypot(d.real, d.imag)
+    assert _tb_residuals(C, s.k * s.b).tobytes() == whole.tobytes() == s.tb_residuals.tobytes()
+
+
+def test_assemble_peak_memory_at_the_readme_sweep_size():
+    # the real Lagrange products take |f| and log|f| in place, the TB = B sums
+    # form C diag(kb) one extraction block at a time and T . T^-1 - I is formed
+    # in two row halves; with one N x N temporary for each, the peak was 4.14
+    m = make_spectrum(Kind.SELF_ADJOINT, 2.0, 1.0, 300)
+    mu, cert = select_mu(m, 25)
+    node_table(m, 300)
+    tracemalloc.start()
+    try:
+        assemble(m, mu, 300, cert)
+        blocks = tracemalloc.get_traced_memory()[1] / (300 * 300 * 8)
+    finally:
+        tracemalloc.stop()
+    assert blocks <= 2.7, blocks
 
 
 _SYNTH_ARRAYS = ("b", "k", "T_mat", "Tinv_mat", "tb_residuals", "log_f", "eigenvalues")
