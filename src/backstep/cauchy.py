@@ -47,13 +47,7 @@ def csum(values: Sequence[complex] | np.ndarray) -> complex | np.ndarray:
     """
     arr = np.asarray(values)
     if arr.ndim == 2:
-        if not np.iscomplexobj(arr):
-            return _row_sums(arr)
-        # real and imaginary parts as one stacked matrix: one extraction
-        sums = _row_sums(np.concatenate((arr.real, arr.imag)))
-        out = np.empty(arr.shape[0], dtype=complex)
-        out.real, out.imag = sums[:arr.shape[0]], sums[arr.shape[0]:]
-        return out
+        return _row_sums(arr)
     re = math.fsum(arr.real.tolist())
     im = math.fsum(arr.imag.tolist()) if np.iscomplexobj(arr) else 0.0
     return complex(re, im) if im != 0.0 else re
@@ -64,70 +58,97 @@ _BLOCK_ELEMENTS = 1 << 15   # terms extracted together: temporaries stay at 256 
 
 def block_rows(n: int) -> int:
     """Rows of n terms that `_row_sums` extracts together: about
-    `_BLOCK_ELEMENTS` terms, and at least one row."""
+    `_BLOCK_ELEMENTS` terms, and at least one row.  A complex row of n
+    values is 2n terms there, its real and imaginary parts."""
     return max(1, _BLOCK_ELEMENTS // n)
 
 
 def _row_sums(mat: np.ndarray) -> np.ndarray:
-    """`math.fsum` of every row of a real matrix, bit for bit, without a
-    Python step per row or per term.
+    """`math.fsum` of every row of a real or complex matrix, real and
+    imaginary parts apart, bit for bit, without a Python step per row or
+    per term.
 
-    For a row p of n terms take M = ceil(log2(n + 2)) and a power of two
-    sigma >= 2^M max|p|.  Then q = (sigma + p) - sigma and p - q are exact,
-    every q is a multiple of 2^-53 sigma, and |sum q| < sigma; so the sum of
-    the q's is exact in any order, and so is the remainder p <- p - q, which
-    is at most 2^-53 sigma.  The passes take:
-      1. sigma_1 = 2^(e + M) with max|p| < 2^e, from one reduction of |p|;
-      2. sigma_2 = 2^(M - 53) sigma_1, from that bound on the remainders,
-         with no reduction (a power of two, subnormal or 0 once the
-         remainders are below the smallest subnormal, where they are 0);
-      3. and on: sigma from the remainders' row maxima, as in pass 1,
-    and stop when every remainder is zero, so each pass also costs one
-    `any`.  Each pass shrinks the row's largest remainder by at least
-    2^(52 - M).  The partial sums tau_1, tau_2, ... then add up exactly to
-    the row sum.  When only tau_1 and tau_2 are nonzero, the single addition
+    For rows of n terms take M = ceil(log2(n + 2)).  For a row p and a
+    power of two sigma >= 2^M max|p|, q = (sigma + p) - sigma and p - q
+    are exact, every q is a multiple of 2^-53 sigma, and |sum q| < sigma;
+    so the sum of the q's is exact in any order, and so is the remainder
+    p <- p - q, which is at most 2^-53 sigma.  A larger sigma keeps all
+    three facts, so the first two passes take one scalar sigma for a whole
+    block of rows:
+      1. sigma_1 = 2^(e + M) with 2^e above the block's largest |term|,
+         read from one `max` and one `min` of the block; it is at least
+         2^M times every row's largest term;
+      2. sigma_2 = 2^(M - 53) sigma_1, from that bound on the remainders;
+         it is exact, since a nonzero remainder is at least the smallest
+         subnormal;
+      3. and on: sigma from each row's largest remainder, so the per-row
+         reduction runs only for a block with a remainder left after pass 2.
+    A row keeps a remainder after pass 2 only if a term far below the
+    block's largest term has low bits set; each later pass shrinks the
+    row's largest remainder by at least 2^(52 - M).  The loop stops when
+    every remainder is zero, so each pass also costs one `any`.  The
+    partial sums tau_1, tau_2, ... then add up exactly to the row sum.
+    When only tau_1 and tau_2 are nonzero, the single addition
     tau_1 + tau_2 is the correctly rounded sum, which is what fsum returns;
-    otherwise fsum runs over the row's few taus.  A row whose largest term
-    is not finite or is at least 2^(1020 - M) is summed by fsum itself,
-    which keeps its OverflowError, ValueError and NaN behaviour.  An exactly
-    zero sum is +0.0, as in fsum.  Rows are extracted in blocks of
-    `block_rows(n)` rows; |p| and each sigma + p go into one preallocated
-    block.
+    otherwise fsum runs over the row's few taus.  A block whose largest
+    term is not finite or is at least 2^(1020 - M) sends the rows that hold
+    such a term to fsum itself, after every other row, real rows first;
+    that keeps fsum's OverflowError, ValueError and NaN behaviour.  An
+    exactly zero sum is +0.0, as in fsum.
+
+    Rows are extracted in blocks of about `_BLOCK_ELEMENTS` terms, a
+    complex block as its real rows over its imaginary rows.  Each block is
+    copied once into one preallocated buffer, and each sigma + p goes into
+    a second one.
     """
     rows, n = mat.shape
-    out = np.zeros(rows)
+    parts = (mat.real, mat.imag) if np.iscomplexobj(mat) else (mat,)
+    out = np.zeros(rows, dtype=complex if len(parts) == 2 else float)
     if n == 0:
         return out
+    outs = (out.real, out.imag) if len(parts) == 2 else (out,)
     m = (n + 1).bit_length()                  # ceil(log2(n + 2))
     limit = math.ldexp(1.0, 1020 - m)         # sigma + p stays below 2^1021
-    step = block_rows(n)
-    work = np.empty((min(step, rows), n))
+    step = block_rows(n * len(parts))
+    buf = np.empty((2, len(parts) * min(step, rows), n))
+    wild = []                                 # (part, row) for fsum itself
     for lo in range(0, rows, step):
-        block = out[lo:lo + step]                 # a view: written in place
-        p = np.array(mat[lo:lo + step], dtype=float)
-        q = work[:len(p)]
-        top = np.abs(p, out=q).max(axis=1)
-        wild = np.flatnonzero(~(top < limit))   # also inf and NaN
-        p[wild] = top[wild] = 0.0
+        k = min(step, rows - lo)
+        p, q = buf[:, :len(parts) * k]
+        for i, part in enumerate(parts):          # the block's one copy
+            p[i * k:(i + 1) * k] = part[lo:lo + k]
+        low, high = p.min(), p.max()
+        if -limit < low and high < limit:         # false also on inf and NaN
+            big = max(high, -low)
+        else:
+            top = np.abs(p, out=q).max(axis=1)
+            bad = np.flatnonzero(~(top < limit))
+            p[bad] = top[bad] = 0.0
+            big = top.max()
+            wild.extend((r // k, lo + r % k) for r in bad.tolist())
+        sigma = math.ldexp(1.0, math.frexp(big)[1] + m)
         taus = []
-        while p.any():
-            if len(taus) == 1:      # pass 2: sigma from the bound, exact (a power of two, or 0)
-                sigma *= math.ldexp(1.0, m - 53)
-            else:                   # pass 1, and passes 3 on: sigma from the row maxima
-                if taus:
-                    top = np.abs(p, out=q).max(axis=1)
-                sigma = np.ldexp(1.0, np.frexp(top)[1] + m)[:, None]
-            np.add(sigma, p, out=q)
+        while True:
+            np.add(p, sigma, out=q)
             q -= sigma
             p -= q
             taus.append(q.sum(axis=1))
-        if taus:
+            if not p.any():
+                break
+            if len(taus) == 1:      # pass 2: sigma from the bound
+                sigma *= math.ldexp(1.0, m - 53)
+            else:                   # passes 3 on: sigma from each row's largest remainder
+                top = np.abs(p, out=q).max(axis=1)
+                sigma = np.ldexp(1.0, np.frexp(top)[1] + m)[:, None]
+        sums = taus[0] + taus[1] if len(taus) > 1 else taus[0]
+        if len(taus) > 2:
             taus = np.array(taus)
-            block[:] = taus[:2].sum(axis=0)       # one addition: tau_1 + tau_2
             for r in np.flatnonzero(np.any(taus[2:] != 0.0, axis=0)):
-                block[r] = math.fsum(taus[:, r].tolist())
-        for r in wild:
-            block[r] = math.fsum(mat[lo + r].tolist())
+                sums[r] = math.fsum(taus[:, r].tolist())
+        for i, o in enumerate(outs):
+            o[lo:lo + k] = sums[i * k:(i + 1) * k]
+    for i, r in sorted(wild):       # real rows first: the first error is fsum's
+        outs[i][r] = math.fsum(parts[i][r].tolist())
     return out
 
 

@@ -322,10 +322,9 @@ def cmd_null_control(cfg) -> int:
     report = run_null_control(schedule, y0, cfg["s_weight"])
     prefix = cfg["out_prefix"]
     traj_path = f"{prefix}_trajectory.csv"
-    write_trajectory_csv(report.samples, traj_path)
-    with open(traj_path, "a", encoding="utf-8", newline="") as fh:
-        fh.write(f"# final_ratio={format_scalar(report.final_ratio)}\n")
-        fh.write(f"# t_end={format_scalar(schedule.t_end)} horizon_gap={format_scalar(schedule.tail_gap)}\n")
+    write_trajectory_csv(report.samples, traj_path, footer=[
+        f"final_ratio={format_scalar(report.final_ratio)}",
+        f"t_end={format_scalar(schedule.t_end)} horizon_gap={format_scalar(schedule.tail_gap)}"])
     Path(f"{prefix}_manifest.json").write_text(schedule_manifest_json(schedule), encoding="utf-8")
     print(f"null control: {stages} stages, final ratio {report.final_ratio:.3e} "
           f"-> {traj_path}, {prefix}_manifest.json")

@@ -47,6 +47,11 @@ def s_weights(model: SpectrumModel, n: int, s: float) -> np.ndarray:
     return weights
 
 
+def unit_weights(weights: np.ndarray) -> bool:
+    """Whether every s-norm weight is 1, so that the s-norm is the H norm."""
+    return bool(np.all(weights == 1.0))
+
+
 def trajectory(synth: BacksteppingSynthesis, y: np.ndarray, ts) -> Iterator[np.ndarray]:
     """The coefficients of T^-1 diag(e^{(lambda_n - lambda) t}) T y at each time
     of `ts`, in order.
@@ -96,14 +101,17 @@ def trajectory_rows(synth: BacksteppingSynthesis, weights: np.ndarray, ts,
     state of `states`: `weights` are the s-norm's `s_weights`, and each
     control u = sum_n k_n y_n is summed exactly, all of them in one `csum`.
 
-    The norms are `vector_norm`, with the bits of `np.linalg.norm`.  The
-    controls are formed as k * y: complex multiplication rounds with fused
-    multiply-adds, and y * k can differ from it in the last bit.
+    The norms are `vector_norm`, with the bits of `np.linalg.norm`.  When
+    every weight is 1 (`s_weight` 0), weights * y is y bit for bit, so the
+    s-norm is the H norm and is not computed again.  The controls are
+    formed as k * y: complex multiplication rounds with fused multiply-adds,
+    and y * k can differ from it in the last bit.
     """
     ys = np.array(list(states))
     us = csum(synth.k * ys).tolist()
-    wys = weights * ys
-    return [(t, vector_norm(y), vector_norm(wy), u) for t, y, wy, u in zip(ts, ys, wys, us)]
+    norms = [vector_norm(y) for y in ys]
+    s_norms = norms if unit_weights(weights) else [vector_norm(wy) for wy in weights * ys]
+    return list(zip(ts, norms, s_norms, us))
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +236,7 @@ def run_null_control(schedule: NullControlSchedule, y0: np.ndarray,
     if y0.size != schedule.trunc:
         raise ValueError(f"state length {y0.size} mismatches schedule truncation {schedule.trunc}")
     weights = s_weights(schedule.model, schedule.trunc, s_weight)
+    unit = unit_weights(weights)
     y = y0
     records = []
     samples = []
@@ -241,9 +250,9 @@ def run_null_control(schedule: NullControlSchedule, y0: np.ndarray,
         samples.extend(rows)
         max_u = max(0.0, *(abs(row[3]) for row in rows))
         n_out = float(np.linalg.norm(y))
+        n_out_s = n_out if unit else float(np.linalg.norm(weights * y))
         contraction = math.log(n_out / n_in) if n_in > 0 and n_out > 0 else float("-inf")
-        records.append(StageRecord(norm_in=n_in, norm_out=n_out,
-                                   norm_out_weighted=float(np.linalg.norm(weights * y)),
+        records.append(StageRecord(norm_in=n_in, norm_out=n_out, norm_out_weighted=n_out_s,
                                    contraction_log=contraction, max_u=max_u))
         # release this stage's matrices before the next stage is assembled
         del synth
@@ -258,12 +267,14 @@ def run_null_control(schedule: NullControlSchedule, y0: np.ndarray,
 # serialization
 
 
-def write_trajectory_csv(rows, path) -> None:
-    """rows: iterable of (t, norm_H, norm_s, u); u printed as re+imi when complex."""
+def write_trajectory_csv(rows, path, footer=()) -> None:
+    """rows: iterable of (t, norm_H, norm_s, u); u printed as re+imi when complex.
+    Each `footer` line follows the rows, after "# "."""
     lines = ["t,norm_H,norm_s,u"]
     for t, nh, ns, u in rows:
         lines.append(",".join([format_scalar(t), format_scalar(nh),
                                format_scalar(ns), format_scalar(u)]))
+    lines.extend(f"# {line}" for line in footer)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 

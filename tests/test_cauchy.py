@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from backstep.cauchy import (NodeTable, build_cauchy, csum, explicit_inverse, format_scalar,
-                             lagrange_products, node_table)
+from backstep.cauchy import (NodeTable, block_rows, build_cauchy, csum, explicit_inverse,
+                             format_scalar, lagrange_products, node_table)
 from backstep.errors import ResonanceError, SingularMatrixError
 from backstep.oracles import LogSignedProduct, oracle_inverse
 from backstep.quantitative import cost_sweep
-from backstep.simulate import build_schedule, run_null_control
+from backstep.simulate import build_schedule, run_null_control, stage_synthesis, trajectory
 from backstep.spectrum import Kind, dist_alpha, make_spectrum, make_tabulated, select_mu
+from backstep.transform import assemble, unit_gaussian
 
 
 def heat(n_max=64):
@@ -241,17 +242,66 @@ def test_csum_rows_shapes_passes_and_specials():
     # a row keeps its real part beside an infinite imaginary sum, as the 1-D form does
     z = complex(1.0, math.inf)
     assert csum(np.array([[z]])).tolist() == [csum(np.array([z]))] == [z]
+    # across extraction blocks the real rows still raise first, as in the reference
+    tall = np.zeros((4 * block_rows(128), 64), dtype=complex)
+    tall.imag[0, :2] = math.inf, -math.inf       # ValueError
+    tall.real[-1, :2] = 1e308, 1e308             # OverflowError
+    assert _csum_rows(tall) == _fsum_rows(tall) and _fsum_rows(tall)[0] is OverflowError
+
+
+def _benchmark_sums():
+    """The row sums of the benchmark's data: the README sweep's N = 300, base 25
+    TB = B matrix C diag(kb), and the TB = B matrix and the controls k * y of
+    the last stage of a 10-stage scale-32 skew-adjoint schedule."""
+    heat300 = make_spectrum(Kind.SELF_ADJOINT, 2.0, 1.0, 300)
+    mu, cert = select_mu(heat300, 25)
+    s = assemble(heat300, mu, 300, cert)
+    yield "sweep TB, N = 300", build_cauchy(node_table(heat300, 300), mu) * (s.k * s.b)
+    skew = make_spectrum(Kind.SKEW_ADJOINT, 2.0, 32.0, 128)
+    sch = build_schedule(skew, 1.0, 3.0, 2.5, 10, trunc=48)
+    st_ = sch.stages[-1]
+    s = stage_synthesis(sch, st_)
+    yield "skew stage 10 TB", build_cauchy(node_table(skew, sch.trunc), st_.lam) * (s.k * s.b)
+    taus = [st_.delta * q / 16 for q in range(16)]
+    ys = np.array(list(trajectory(s, unit_gaussian(sch.trunc, 7), taus)))
+    yield "skew stage 10 controls", s.k * ys
 
 
 def test_csum_rows_make_no_per_row_fsum_call(monkeypatch):
-    # a finite, well-scaled matrix is summed with whole-array operations only
-    mat = np.random.default_rng(5).uniform(-1.0, 1.0, (300, 300))
-    expected = _fsum_rows(mat)
+    # a finite, well-scaled matrix, and the benchmark's own sums, are summed
+    # with whole-array operations only: no row reaches math.fsum
+    cases = [("uniform", np.random.default_rng(5).uniform(-1.0, 1.0, (300, 300))),
+             *_benchmark_sums()]
+    expected = [_fsum_rows(mat) for _, mat in cases]
     fsum, calls = math.fsum, []
     monkeypatch.setattr(math, "fsum", lambda xs: calls.append(1) or fsum(xs))
-    rows = csum(mat)
-    assert calls == []
-    assert rows.tobytes() == expected
+    for (name, mat), want in zip(cases, expected):
+        assert csum(mat).tobytes() == want and calls == [], name
+
+
+def test_csum_rows_spanning_many_binades_are_fsum_bits():
+    # one sigma per block: a row far below the block's largest term extracts
+    # nothing in passes 1 and 2 and finishes with its own sigma from pass 3
+    rng = np.random.default_rng(29)
+    scales = np.ldexp(1.0, np.linspace(-600, 600, 41).astype(int))
+    re = rng.standard_normal((41, 50)) * scales[:, None] * 10.0 ** rng.integers(-8, 9, (41, 50))
+    re[::3, -1] = -re[::3, :-1].sum(axis=1)      # near-cancelling rows
+    for mat in (re, re[rng.permutation(41)], re[::-1] + 1j * re):
+        assert _csum_rows(mat) == _fsum_rows(mat)
+
+
+@pytest.mark.parametrize("wild", [math.inf, -math.inf, math.nan, 2.0 ** 1020, -2.0 ** 1023,
+                                  (math.inf, -math.inf), (1e308, 1e308)])
+def test_csum_rows_with_one_wild_row_are_fsum_bits(wild):
+    # one row past the block's limit goes to fsum itself, with its value,
+    # NaN or error; the finite rows beside it keep the block's sigma
+    rng = np.random.default_rng(31)
+    mat = rng.standard_normal((30, 64)) * 10.0 ** rng.integers(-5, 6, (30, 64))
+    mat[17, :len(np.atleast_1d(wild))] = wild
+    cx = np.empty(mat.shape, dtype=complex)
+    cx.real, cx.imag = mat, mat[::-1]       # 1j * inf would give a NaN real part
+    for m in (mat, cx, cx.conj()[::-1]):
+        assert _csum_rows(m) == _fsum_rows(m)
 
 
 @settings(max_examples=25, deadline=None)
@@ -295,15 +345,16 @@ def test_csum_rows_with_tiny_second_sigma_are_fsum_bits(mat):
 
 
 def test_csum_rows_take_data_sigma_from_pass_three():
-    # np.frexp runs once per pass whose sigma comes from the data: pass 1 and
-    # passes 3 on; pass 2 takes its sigma from the bound.  A subnormal or
-    # vanishing sigma_2 keeps the sum exact.
+    # passes 1 and 2 take one scalar sigma per block, from the block's largest
+    # term and from that bound; np.frexp runs once per later pass, where sigma
+    # comes from each row's largest remainder.  A subnormal sigma_2 keeps the
+    # sum exact.
     deep = [1.0, 2.0 ** -120, 2.0 ** -240, 2.0 ** -360, -1.0]
-    cases = [([[1.0, 2.0 ** -60, -1.0]], 1),               # pass 2 ends it
-             ([deep], 4),                                  # passes 1, 3, 4 and 5
-             ([[1.0, 3.0, 0.0, 0.0, 0.0], deep], 4),
-             ([[2.0 ** -1000, -2.0 ** -1010, 2.0 ** -1074]], 1),   # sigma_2 subnormal
-             ([[2.0 ** -1040, 5e-324, 0.0], [1.0, 2.0 ** -60, -1.0]], 1)]   # first sigma_2 = 0
+    cases = [([[1.0, 2.0 ** -60, -1.0]], 0),               # pass 2 ends it
+             ([deep], 3),                                  # passes 3, 4 and 5
+             ([[1.0, 3.0, 0.0, 0.0, 0.0], deep], 3),
+             ([[2.0 ** -1000, -2.0 ** -1010, 2.0 ** -1074]], 0),   # sigma_2 subnormal
+             ([[2.0 ** -1040, 5e-324, 0.0], [1.0, 2.0 ** -60, -1.0]], 1)]   # row 1 sets sigma_1
     frexp = np.frexp
     for rows, data_passes in cases:
         mat = np.array(rows)

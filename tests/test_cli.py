@@ -258,7 +258,7 @@ def test_null_control_outputs(tmp_path):
     assert run(tmp_path, "null-control", "--scale", "32", "--stages", "3",
                "--trunc", "48") == 0
     lines = (tmp_path / "null_control_trajectory.csv").read_text().splitlines()
-    assert any(l.startswith("# final_ratio=") for l in lines)
+    assert lines[-2].startswith("# final_ratio=") and lines[-1].startswith("# t_end=")
     doc = json.loads((tmp_path / "null_control_manifest.json").read_text())
     assert [st["N"] for st in doc["stages"]] == [1, 2, 3]
 

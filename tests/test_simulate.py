@@ -184,7 +184,10 @@ def test_trajectory_csv_and_manifest(tmp_path):
     write_trajectory_csv(rep.samples, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "t,norm_H,norm_s,u"
-    assert len(lines) == 1 + 2 * 16 + 1
+    assert len(lines) == 1 + 2 * 16 + 1 and not any(l.startswith("#") for l in lines)
+    # footer lines follow the rows, in order, in the same one write
+    write_trajectory_csv(rep.samples, path, footer=["final_ratio=0.5", "t_end=1"])
+    assert path.read_text().splitlines() == lines + ["# final_ratio=0.5", "# t_end=1"]
     doc = json.loads(schedule_manifest_json(sch))
     assert set(doc) == {"gamma", "sigma", "horizon", "stages"}
     assert [st["N"] for st in doc["stages"]] == [1, 2]
@@ -301,6 +304,37 @@ def test_trajectory_rows_match_per_sample_bits(kind):
     ref = [(t, float(np.linalg.norm(y)), float(np.linalg.norm(ws * y)), csum(synth.k * y))
            for t, y in zip(ts, ys)]
     assert [_bits(r) for r in got] == [_bits(r) for r in ref]
+
+
+@pytest.mark.parametrize("kind", list(Kind))
+def test_unit_s_weights_reuse_the_h_norm(kind, monkeypatch):
+    # at s_weight 0 every weight is 1 and weights * y is y bit for bit, so a
+    # sample takes one vector_norm, not two; a nonzero s_weight (whose first
+    # weight is still 1 at scale 1) writes its own column
+    import backstep.simulate as simulate
+    lam = 0.5 if kind is Kind.SELF_ADJOINT else 1.5
+    model = make_spectrum(kind, 2.0, 1.0, 64)
+    synth = assemble(model, lam, 48)
+    ys = np.random.default_rng(12).standard_normal((16, 48))
+    ts = [0.1 * q for q in range(16)]
+    norm, calls = simulate.vector_norm, []
+    monkeypatch.setattr(simulate, "vector_norm", lambda v: calls.append(1) or norm(v))
+    for s, norms_per_sample in ((0.0, 1), (0.5, 2)):
+        calls.clear()
+        ws = s_weights(model, 48, s)
+        rows = trajectory_rows(synth, ws, ts, iter(ys))
+        assert len(calls) == norms_per_sample * len(ys)
+        assert [r[2] for r in rows] == [float(np.linalg.norm(ws * y)) for y in ys]
+        assert all((r[2] == r[1]) == (s == 0.0) for r in rows)
+    sch = build_schedule(make_spectrum(kind, 2.0, 32.0, 128), 1.0, 3.0, 2.5, 2, trunc=48)
+    y0 = np.eye(sch.trunc)[0]
+    for s in (0.0, 0.5):
+        recs = run_null_control(sch, y0, s_weight=s).records
+        ws = s_weights(sch.model, sch.trunc, s)
+        y = y0
+        for st, rec in zip(sch.stages, recs):
+            y = propagate(stage_synthesis(sch, st), y, st.delta)
+            assert rec.norm_out_weighted == float(np.linalg.norm(ws * y))
 
 
 def test_trajectory_checks_inputs_first(synth32):
