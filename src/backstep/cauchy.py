@@ -53,7 +53,9 @@ def csum(values: Sequence[complex] | np.ndarray) -> complex | np.ndarray:
     return complex(re, im) if im != 0.0 else re
 
 
-_BLOCK_ELEMENTS = 1 << 15   # terms extracted together: temporaries stay at 256 KiB
+# terms extracted together: `_row_sums` holds two float64 buffers of this
+# size, 256 KiB each, besides the block its caller passes in
+_BLOCK_ELEMENTS = 1 << 15
 
 
 def block_rows(n: int) -> int:

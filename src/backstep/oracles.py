@@ -254,6 +254,19 @@ def factorization_residual(synth: BacksteppingSynthesis) -> float:
     return float(np.max(np.abs(synth.T_mat - table))) / scale
 
 
+def inverse_product_residual(synth: BacksteppingSynthesis) -> float:
+    """max-norm of T . T^-1 - I from the product itself, in N^3 multiply-adds:
+    the independent check of `transform.inverse_residual`, which reads the
+    same entries off the TB = B defects.  inf or NaN if the product overflows.
+    Error: gamma_N |T| |T^-1| entrywise (Higham 2002, section 3.5), besides
+    the rounding of T and T^-1 themselves.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = synth.T_mat @ synth.Tinv_mat
+        p[np.diag_indices(synth.N)] -= 1.0
+        return float(np.max(np.abs(p)))
+
+
 def gain_cross_check(model: SpectrumModel, lam: float, N: int, cert=None) -> float:
     """Worst ratio max_n gap_n / bar_n of the row-sum and product gains.
 

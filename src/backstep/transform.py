@@ -29,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cauchy import (block_rows, build_cauchy, csum, explicit_inverse, lagrange_products,
-                     node_table)
+from .cauchy import (NodeTable, block_rows, build_cauchy, csum, explicit_inverse,
+                     lagrange_products, node_table)
 from .errors import CertificationError, GainFloorError
 from .spectrum import DistCertificate, SpectrumModel, dist_alpha
 
@@ -144,21 +144,25 @@ class BacksteppingSynthesis:
         return float(np.max(self.tb_residuals))
 
 
-def _tb_residuals(cauchy_mat: np.ndarray, kb: np.ndarray) -> np.ndarray:
-    """|sum_n k_n b_n / (lambda_j - lambda_n - lambda) - 1| for every mode j.
+def _tb_residuals(cauchy_mat: np.ndarray, kb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The signed TB = B defects d_j = sum_n k_n b_n / (lambda_j - lambda_n -
+    lambda) - 1 and the sums sum_n C_jn^2 k_n b_n, for every mode j.
 
     C diag(kb) is formed one extraction block of rows at a time
-    (`cauchy.block_rows`), so the whole N x N product never exists; each
-    row's sum is exactly rounded, so the blocks do not change its bits."""
+    (`cauchy.block_rows`), so the whole N x N product never exists.  Each
+    defect is exactly rounded, so the blocks do not change its bits; `csum`
+    leaves its input intact, and the block is then multiplied by C in place
+    for the sums of squares, which `inverse_residual` reads."""
     d = np.empty(len(kb), dtype=cauchy_mat.dtype)
+    sq = []
     step = block_rows(len(d))
     for lo in range(0, len(d), step):
-        d[lo:lo + step] = csum(cauchy_mat[lo:lo + step] * kb)
+        terms = cauchy_mat[lo:lo + step] * kb
+        d[lo:lo + step] = csum(terms)
+        terms *= cauchy_mat[lo:lo + step]
+        sq.append(terms.sum(axis=1))
     d -= 1.0
-    if not np.iscomplexobj(d):
-        return np.abs(d)
-    # Python's complex abs is hypot; numpy's can differ in the last bit
-    return np.hypot(d.real, d.imag)
+    return d, np.concatenate(sq)
 
 
 def assemble(model: SpectrumModel, lam: float, N: int,
@@ -169,20 +173,22 @@ def assemble(model: SpectrumModel, lam: float, N: int,
     matrix.  In this order, raises CertificationError if a gain or a column
     product Q_n overflows float64 (checked before T, T^-1 or any sum is formed),
     GainFloorError if a gain vanishes, and CertificationError if T . T^-1 is
-    not finite or drifts from the identity beyond the assembly alarm tolerance,
-    or if the TB = B residual exceeds `_TB_TOL`.
+    not finite or drifts from the identity beyond the assembly alarm tolerance
+    (`inverse_residual`), or if the TB = B residual exceeds `_TB_TOL`.  Both
+    checks read the TB = B defects, so they run before T and T^-1 are formed.
 
-    The N x N passes run in place over the call's own buffers: C is inverted
-    over the separations and T is formed over C once T^-1 is built.  The
-    passes that need a temporary form it in parts: the real Lagrange
-    products take their logs in place over the factor matrix and reduce
-    columns from half-width copies, the TB = B sums form C diag(kb) one
-    extraction block at a time, and the T . T^-1 check forms the product in
-    two row halves.  So a real synthesis holds at most 2.5 N x N blocks at a
-    time, the returned ones included (tracemalloc, with the node table built:
-    2.54 at N = 300; 5.34 complex blocks at a skew-adjoint N = 128).  Every
-    printed bit is that of the plain expressions: T is C-ordered and T^-1
-    takes the F order of C^T, as the Lanczos norms' products expect.
+    No pass forms a matrix product.  The N x N passes run in place over the
+    call's own buffers: C is inverted over the separations and T is formed
+    over C once T^-1 is built.  The passes that need a temporary form it in
+    parts: the real Lagrange products take their logs in place over the
+    factor matrix and reduce columns from half-width copies, and the TB = B
+    sums and the T . T^-1 check run over one extraction block of rows at a
+    time.  So a real N = 300 synthesis peaks at 2.52 N x N blocks, the
+    returned ones included (tracemalloc, with the node table built).  At
+    N = 128, where C diag(kb) is a single extraction block, the TB = B pass
+    sets the peak: 4.17 real and 4.12 complex blocks.  Every printed bit is
+    that of the plain expressions: T is C-ordered and T^-1 takes the F order
+    of C^T, as the Lanczos norms' products expect.
     """
     cert = _certify(model, lam, cert)
     table = node_table(model, N)
@@ -197,48 +203,65 @@ def assemble(model: SpectrumModel, lam: float, N: int,
     kb = k * b
     _check_nonzero(kb, "product")
 
-    tb = _tb_residuals(cmat, kb)
+    d, sq = _tb_residuals(cmat, kb)
+    resid = inverse_residual(table, lam, b, q, d, sq)
+    if not math.isfinite(resid):
+        raise CertificationError(f"T . T^-1 residual {resid}: float64 overflow at lambda {lam}")
+    if resid > _ASSEMBLY_TOL:
+        raise CertificationError(f"T . T^-1 residual {resid} exceeds assembly tolerance")
+    # Python's complex abs is hypot; numpy's can differ in the last bit
+    tb = np.hypot(d.real, d.imag) if np.iscomplexobj(d) else np.abs(d)
+    tb_max = float(np.max(tb))
+    if tb_max > _TB_TOL:
+        raise CertificationError(f"TB=B residual {tb_max} exceeds the "
+                                 f"acceptance bound {_TB_TOL}")
     # a reciprocal product, not a division: see cauchy.NodeTable.of;
     # T^-1 takes the F order of C^T, and T is formed over C in place
     Tinv = np.multiply((-lam * b)[:, None], cmat.T)
     Tinv *= (q * (1.0 / b))[None, :]
     T = np.multiply(b[:, None], cmat, out=cmat)
     T *= k[None, :]
-    synth = BacksteppingSynthesis(model=model, lam=float(lam), N=N, cert=cert,
-                                  b=b, k=k, T_mat=T, Tinv_mat=Tinv,
-                                  tb_residuals=tb, log_f=log_p)
-    resid = inverse_residual(synth)
-    if not math.isfinite(resid):
-        raise CertificationError(f"T . T^-1 residual {resid}: float64 overflow at lambda {lam}")
-    if resid > _ASSEMBLY_TOL:
-        raise CertificationError(f"T . T^-1 residual {resid} exceeds assembly tolerance")
-    if synth.tb_residual_max > _TB_TOL:
-        raise CertificationError(f"TB=B residual {synth.tb_residual_max} exceeds the "
-                                 f"acceptance bound {_TB_TOL}")
-    return synth
+    return BacksteppingSynthesis(model=model, lam=float(lam), N=N, cert=cert,
+                                 b=b, k=k, T_mat=T, Tinv_mat=Tinv,
+                                 tb_residuals=tb, log_f=log_p)
 
 
-def inverse_residual(synth: BacksteppingSynthesis) -> float:
-    """max-norm of T . T^-1 - I at truncation; inf or NaN if the product overflows.
+def inverse_residual(table: NodeTable, lam: float, b: np.ndarray, q: np.ndarray,
+                     d: np.ndarray, sq: np.ndarray) -> float:
+    """max-norm of T . T^-1 - I at truncation, from the TB = B defects, in
+    O(N^2); inf or NaN if an entry overflows.
 
-    The product is formed in two row halves (one block at N = 1), each
-    released before the next, so the check holds half an N x N block above
-    T and T^-1.  Its last bits can differ from those of one N x N product;
-    finer slabs would cost time (27-row slabs: 0.85 to 1.84 ms at N = 300).
+    `d` and `sq` are `_tb_residuals`'s defects and sums of squares, `q` the
+    column products Q and `b` the input coefficients.  C has displacement
+    rank one, diag(x) C - C diag(x) - lambda C = 1 1^T (Gohberg, Kailath and
+    Olshevsky, Math. Comp. 64, 1995), so C_pn C_mn = (C_mn - C_pn) / (x_p -
+    x_m) for p != m, and with T = diag(b) C diag(k) and T^-1 = -lambda
+    diag(b) C^T diag(Q / b),
+
+        (T T^-1)_pm = lambda b_p (Q_m / b_m) (d_p - d_m) / (x_p - x_m),  p != m,
+        (T T^-1)_pp = -lambda Q_p sum_n C_pn^2 k_n b_n.
+
+    The separations are the node table's reciprocals `inv_dx`, whose zero
+    diagonal zeroes the first form there.  The entries are formed one
+    extraction block of rows at a time (`cauchy.block_rows`), a few
+    elementwise passes over N x N values in all, where the product T . T^-1
+    took N^3 multiply-adds.  `oracles.inverse_product_residual` forms that
+    product as the independent check.  The two values differ in their
+    rounding only: this one was 0.49 to 3.54 times the product's on the README
+    sweeps and the scale-32 schedules.  Neither encloses the exact residual.
     """
-    N, half = synth.N, (synth.N + 1) // 2
     with np.errstate(over="ignore", invalid="ignore"):
-        worst = _residual_rows(synth, 0, half)
-        if half < N:
-            worst = np.maximum(worst, _residual_rows(synth, half, N))    # NaN stays NaN
-    return float(worst)
-
-
-def _residual_rows(synth: BacksteppingSynthesis, lo: int, hi: int) -> float:
-    """max |T . T^-1 - I| over the rows lo..hi - 1, NaN if any entry is NaN."""
-    p = synth.T_mat[lo:hi] @ synth.Tinv_mat
-    p.flat[lo::synth.N + 1] -= 1.0          # the entries (i, i) of these rows
-    return np.max(np.abs(p, out=None if np.iscomplexobj(p) else p))
+        lam_b = lam * b
+        q_b = q * (1.0 / b)
+        worst = [np.abs(-lam * q * sq - 1.0).max()]
+        step = block_rows(len(d))
+        for lo in range(0, len(d), step):
+            rows = d[lo:lo + step, None] - d[None, :]
+            rows *= table.inv_dx[lo:lo + step]
+            rows *= q_b
+            rows *= lam_b[lo:lo + step, None]
+            worst.append(np.abs(rows, out=None if np.iscomplexobj(rows) else rows).max())
+    return float(np.max(worst))      # NaN if any entry is NaN
 
 
 # ---------------------------------------------------------------------------

@@ -271,6 +271,37 @@ def test_null_control_tb_bound_exits_3(tmp_path, capsys):
     assert not (tmp_path / "null_control_trajectory.csv").exists()
 
 
+# the certification frontier: each input's exit code and the guard that fires
+# first, with its stage; the residual's digits are not pinned
+_TB = r"TB=B residual \S+ exceeds the acceptance bound 1e-09"
+_TT = r"T \. T\^-1 residual \S+ exceeds assembly tolerance"
+_SCALE32 = ("--scale", "32", "--trunc", "48", "--stages", "12")
+_SKEW = ("--kind", "skew_adjoint")
+FRONTIER_INPUTS = [
+    (("null-control",), rf"stage 4 \(lambda 64\.5\): {_TB}"),
+    (("null-control", *_SKEW), rf"stage 4 \(lambda 64\.5\): {_TT}"),
+    (("null-control", *_SCALE32), rf"stage 11 \(lambda \S+\): {_TB}"),
+    (("null-control", *_SCALE32, *_SKEW), rf"stage 12 \(lambda \S+\): {_TT}"),
+    (("synth", "--lambda", "50000.5", "--trunc", "150"),
+     r"T \. T\^-1 residual inf: float64 overflow at lambda 50000\.5"),
+    (("synth", "--lambda", "50000.5", "--trunc", "150", *_SKEW),
+     r"T \. T\^-1 residual nan: float64 overflow at lambda 50000\.5"),
+    (("synth", "--lambda", "20000.5", "--trunc", "150"), _TT),
+    (("synth", "--lambda", "20000.5", "--trunc", "150", *_SKEW), _TT),
+    (("synth", "--n-base", "64", "--trunc", "48"), _TB),
+    (("synth", "--n-base", "64", "--trunc", "48", *_SKEW), _TT),
+]
+
+
+@pytest.mark.parametrize("argv,guard", FRONTIER_INPUTS,
+                         ids=[" ".join(case[0]) for case in FRONTIER_INPUTS])
+def test_frontier_inputs_keep_their_exit_code_and_first_guard(tmp_path, capsys, argv, guard):
+    assert run(tmp_path, *argv) == 3
+    err = capsys.readouterr().err
+    assert re.fullmatch(rf"error: {guard}\n", err), err
+    assert not any(tmp_path.iterdir())         # nothing written
+
+
 def test_null_control_bad_y0_exits_2(tmp_path):
     (tmp_path / "y0.json").write_text("[1.0, 2.0]")
     assert run(tmp_path, "null-control", "--scale", "32", "--stages", "2",

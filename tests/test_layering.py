@@ -33,7 +33,7 @@ MOVED = ("oracle_inverse", "LogSignedProduct", "eval_J", "all_J",
          "factorization_residual", "gain_cross_check",
          "chi", "verify_closed_loop_eigen", "ClosedLoopCheck",
          "operator_identity_residual", "condition_number",
-         "measure_decay", "DecayReport")
+         "measure_decay", "DecayReport", "inverse_product_residual")
 
 
 def _imports_oracles(tree: ast.AST) -> bool:
@@ -70,7 +70,8 @@ def test_moved_names_live_only_in_oracles():
 
 
 DELETED = ("StateVector", "state", "norm_h", "norm_weighted", "ChiFunction",
-           "tail_log_bound", "truncation_entry_bar", "CauchySystem", "DivergenceError")
+           "tail_log_bound", "truncation_entry_bar", "CauchySystem", "DivergenceError",
+           "_residual_rows")
 # the oracles the package root used to re-export; they live in `oracles` alone
 ROOT_DELETED = ("LogSignedProduct", "all_J", "bound_check_products", "bound_check_sums",
                 "chi", "condition_number", "eval_J", "factorization_residual",
@@ -83,7 +84,8 @@ def test_deleted_names_stay_deleted():
     keeps a wrapper type or a norm helper for it.  The one-sided truncation
     tail majorants are gone everywhere, and so is `CauchySystem`: the Cauchy
     kernels take a node table and lambda.  `DivergenceError` went with the
-    null-control run's user growth constants.  The root re-exports no oracle."""
+    null-control run's user growth constants, and the row-half T . T^-1
+    product with the guard's N^3 evaluation.  The root re-exports no oracle."""
     for name in ["backstep"] + [f"backstep.{p.stem}" for p in SRC.glob("*.py")
                                 if p.stem != "__init__"]:
         module = importlib.import_module(name)
@@ -119,6 +121,20 @@ def test_deleted_fields_and_parameters_stay_deleted():
     for mod, func, gone in DELETED_PARAMS:
         params = inspect.signature(getattr(importlib.import_module(f"backstep.{mod}"), func))
         assert gone not in params.parameters, func
+
+
+def test_synthesis_forms_no_matrix_product():
+    """`assemble`, its TB = B pass and its T . T^-1 guard form no matrix
+    product: the N^3 product T . T^-1 lives in `oracles` alone."""
+    tree = ast.parse((SRC / "transform.py").read_text(encoding="utf-8"))
+    kernels = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)
+               and n.name in ("assemble", "_tb_residuals", "inverse_residual")]
+    assert len(kernels) == 3
+    products = [ast.unparse(n) for fn in kernels for n in ast.walk(fn)
+                if isinstance(n, ast.BinOp) and isinstance(n.op, ast.MatMult)
+                or isinstance(n, ast.Attribute)
+                and n.attr in ("dot", "matmul", "einsum", "inner", "tensordot", "vdot")]
+    assert products == []
 
 
 def _python(code: str, *args: str) -> str:
@@ -287,8 +303,11 @@ def test_package_import_leaves_the_allocator_alone():
 
 
 # (module, function) that may form an outer difference a[:, None] - a[None, :]:
-# the node table, and the gap report's level differences (levels, not nodes)
-MAY_FORM_PAIRWISE_DIFFERENCES = {("cauchy.py", "of"), ("spectrum.py", "verify_gaps")}
+# the node table, the gap report's level differences (levels, not nodes), and
+# the T . T^-1 guard's differences d_p - d_m of TB = B defects (not nodes; its
+# node separations are the table's inv_dx)
+MAY_FORM_PAIRWISE_DIFFERENCES = {("cauchy.py", "of"), ("spectrum.py", "verify_gaps"),
+                                 ("transform.py", "inverse_residual")}
 
 
 def _is_column(node: ast.AST, first) -> bool:
@@ -332,7 +351,8 @@ def test_node_differences_come_from_the_node_table():
     `cauchy.NodeTable.of`; no other runtime function forms pairwise
     differences of nodes, and `lagrange_products` forms no reciprocal of
     them: it calls no divide, and its one division is the complex path's
-    1 / |f| for the unit signs."""
+    1 / |f| for the unit signs.  The T . T^-1 guard reads its separations
+    from the table's `inv_dx` and no other node data."""
     for code in ("def f(x): return x[:, None] - x[None, :]",
                  "def f(x): return np.abs(x[None, :] - x[:, None] - lam)",
                  "def f(x): return np.subtract.outer(x, x)"):
@@ -356,6 +376,13 @@ def test_node_differences_come_from_the_node_table():
                 for n in ast.walk(kernel)
                 if isinstance(n, (ast.BinOp, ast.AugAssign)) and isinstance(n.op, ast.Div)]
     assert divides == [] and divisors == ["logs"]
+
+    tree = ast.parse((SRC / "transform.py").read_text(encoding="utf-8"))
+    (guard,) = [n for n in ast.walk(tree)
+                if isinstance(n, ast.FunctionDef) and n.name == "inverse_residual"]
+    reads = {n.attr for n in ast.walk(guard) if isinstance(n, ast.Attribute)
+             and isinstance(n.value, ast.Name) and n.value.id == "table"}
+    assert reads == {"inv_dx"}
 
 
 def test_n_max_is_no_setting():

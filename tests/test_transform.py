@@ -14,8 +14,9 @@ from backstep.cauchy import (NodeTable, build_cauchy, explicit_inverse, lagrange
                              node_table)
 from backstep.errors import CertificationError, GainFloorError, MathGuardError, ResonanceError
 from backstep.oracles import (chi, condition_number, factorization_residual,
-                              gain_cross_check, operator_identity_residual,
-                              verify_closed_loop_eigen)
+                              gain_cross_check, inverse_product_residual,
+                              operator_identity_residual, verify_closed_loop_eigen)
+from backstep.simulate import build_schedule, stage_truncation
 from backstep.spectrum import (DistCertificate, Kind, dist_alpha, make_spectrum,
                                make_tabulated, select_mu)
 from backstep.transform import (assemble, feedback_gains_product, feedback_gains_rowsum,
@@ -100,7 +101,7 @@ def test_assemble_2x2():
     assert s.T_mat[0, 1] == pytest.approx((-5 / 12) / 2.5, rel=1e-13)
     assert s.T_mat[1, 0] == pytest.approx((-7 / 12) / -3.5, rel=1e-13)
     assert factorization_residual(s) == 0.0
-    assert inverse_residual(s) <= 1e-14
+    assert inverse_product_residual(s) <= 1e-14
     s1 = assemble(heat(), 0.5, 1)
     assert np.allclose(s1.T_mat, [[1.0]])     # TB = B forces T = [1]
 
@@ -111,7 +112,7 @@ def test_assemble_inverse_identity(kind, N):
     m = make_spectrum(kind, 2.0, 1.0, 64)
     mu, cert = select_mu(m, 2)
     s = assemble(m, mu, N, cert)
-    assert inverse_residual(s) <= 1e-8
+    assert inverse_product_residual(s) <= 1e-8
     assert float(np.max(np.abs(s.Tinv_mat @ s.T_mat - np.eye(N)))) <= 1e-8
     assert factorization_residual(s) <= 1e-12
 
@@ -358,18 +359,13 @@ def test_lanczos_start_vector_is_cached_and_read_only():
 
 
 def test_inverse_residual_matches_identity_subtraction():
-    # the product is formed in two row halves, the first one row longer at
-    # odd N, and in one block at N = 1; a half's last bits can differ from
-    # those of the same rows of one N x N product
+    # the oracle is max |T . T^-1 - I| of one N x N product, bit for bit
     sk = make_spectrum(Kind.SKEW_ADJOINT, 2.0, 1.0, 64)
     for model, lam, N in ((heat(), 4.0714285714285716, 48), (sk, 9.5, 48), (heat(), 0.5, 48),
                           (heat(), 4.0714285714285716, 47), (sk, 9.5, 1)):
         synth = assemble(model, lam, N)
-        half = (N + 1) // 2
-        halves = [synth.T_mat[rows] @ synth.Tinv_mat - np.eye(N)[rows]
-                  for rows in (slice(0, half), slice(half, N))]
-        ref = float(np.max(np.abs(np.concatenate(halves))))
-        assert inverse_residual(synth) == ref
+        ref = float(np.max(np.abs(synth.T_mat @ synth.Tinv_mat - np.eye(N))))
+        assert inverse_product_residual(synth) == ref
 
 
 def test_weighted_norm_and_condition():
@@ -496,7 +492,8 @@ def test_row_sums_match_per_row_loop(kind):
 @pytest.mark.parametrize("kind", [Kind.SELF_ADJOINT, Kind.SKEW_ADJOINT])
 def test_tb_residuals_span_extraction_blocks(kind):
     # at N = 300 C diag(kb) is formed in three extraction blocks of rows;
-    # the sums keep the bits of one csum over the whole product
+    # the defects keep the bits of one csum over the whole product, and the
+    # sums of squares those of one row sum over the whole C^2 diag(kb)
     from backstep.cauchy import block_rows, csum
     from backstep.transform import _tb_residuals
     m = make_spectrum(kind, 2.0, 1.0, 300)
@@ -504,15 +501,52 @@ def test_tb_residuals_span_extraction_blocks(kind):
     s = assemble(m, mu, 300, cert)
     C = build_cauchy(node_table(m, 300), mu, cert.dist)
     assert block_rows(300) == 109
-    d = csum(C * (s.k * s.b)[None, :]) - 1.0
+    terms = C * (s.k * s.b)[None, :]
+    d, sq = _tb_residuals(C, s.k * s.b)
+    assert d.tobytes() == (csum(terms) - 1.0).tobytes()
+    assert sq.tobytes() == np.sum(terms * C, axis=1).tobytes()
     whole = np.abs(d) if kind is Kind.SELF_ADJOINT else np.hypot(d.real, d.imag)
-    assert _tb_residuals(C, s.k * s.b).tobytes() == whole.tobytes() == s.tb_residuals.tobytes()
+    assert whole.tobytes() == s.tb_residuals.tobytes()
+
+
+def _scale32_schedule(kind, stages):
+    """The schedule of `null-control --scale 32 --trunc 48 --stages <stages>`."""
+    need = stage_truncation(48, stages ** 3.0 + 32.0 + 1.0, 2.0)
+    return build_schedule(make_spectrum(kind, 2.0, 32.0, need), 1.0, 3.0, 2.5, stages, 48)
+
+
+def _structured_residual(s):
+    """The `T . T^-1` guard's value for the synthesis `s`, as `assemble` forms it."""
+    table = node_table(s.model, s.N)
+    d, sq = transform._tb_residuals(build_cauchy(table, s.lam, s.cert.dist), s.k * s.b)
+    return inverse_residual(table, s.lam, s.b, column_products(table, s.lam), d, sq)
+
+
+def test_inverse_residual_agrees_with_the_product_oracle():
+    # the guard reads T . T^-1 - I off the TB = B defects; the oracle forms
+    # the product.  They differ only in their rounding, and neither encloses
+    # the exact residual.  Measured ratios: 0.78-3.54 (README sweep) and
+    # 0.49-2.95 (skew README sweep), 0.66-2.50 (10-stage schedules) and
+    # 0.86-2.46 (11-stage schedules), over residuals from 2e-15 to 6e-8
+    cases = []
+    for kind in Kind:
+        m = make_spectrum(kind, 2.0, 1.0, 300)
+        cases += [(m, *select_mu(m, base), 300) for base in range(1, 26)]
+        for stages in (10, 11):
+            sch = _scale32_schedule(kind, stages)
+            cases += [(sch.model, st.lam, st.cert, sch.trunc) for st in sch.stages]
+    assert len(cases) == 2 * (25 + 10 + 11)
+    ratios = []
+    for model, lam, cert, N in cases:
+        s = assemble(model, lam, N, cert)
+        ratios.append(_structured_residual(s) / inverse_product_residual(s))
+    assert 0.2 <= min(ratios) and max(ratios) <= 5.0, (min(ratios), max(ratios))
 
 
 def test_assemble_peak_memory_at_the_readme_sweep_size():
-    # the real Lagrange products take |f| and log|f| in place, the TB = B sums
-    # form C diag(kb) one extraction block at a time and T . T^-1 - I is formed
-    # in two row halves; with one N x N temporary for each, the peak was 4.14
+    # the real Lagrange products take |f| and log|f| in place, and the TB = B
+    # sums and the T . T^-1 guard run over one extraction block of rows at a
+    # time; with one N x N temporary for each pass, the peak was 4.14
     m = make_spectrum(Kind.SELF_ADJOINT, 2.0, 1.0, 300)
     mu, cert = select_mu(m, 25)
     node_table(m, 300)
@@ -523,6 +557,46 @@ def test_assemble_peak_memory_at_the_readme_sweep_size():
     finally:
         tracemalloc.stop()
     assert blocks <= 2.7, blocks
+
+
+@pytest.mark.parametrize("kind,bound", [(Kind.SELF_ADJOINT, 4.18), (Kind.SKEW_ADJOINT, 4.13)])
+def test_assemble_peak_memory_at_the_schedule_size(kind, bound):
+    # stage 10 of the 10-stage scale-32 schedule, N = 128, in N x N blocks of
+    # its dtype: the peak is the TB = B pass, whose C diag(kb) is a single
+    # extraction block here (4.17 real and 4.12 complex); the T . T^-1
+    # guard's blocks stay below it.  A first call builds the node table and
+    # whatever numpy keeps after one call
+    sch = _scale32_schedule(kind, 10)
+    st = sch.stages[-1]
+    assert (st.index, sch.trunc) == (10, 128)
+    assemble(sch.model, st.lam, 128, st.cert)
+    tracemalloc.start()
+    try:
+        s = assemble(sch.model, st.lam, 128, st.cert)
+        blocks = tracemalloc.get_traced_memory()[1] / s.T_mat.nbytes
+    finally:
+        tracemalloc.stop()
+    assert blocks <= bound, blocks
+
+
+def test_skew_adjoint_cauchy_matrix_is_hermitian():
+    # purely imaginary nodes and a real lambda: C_np = 1/(x_n - x_p - lambda)
+    # = conj(C_pn), so C = C^H; with Q = conj(P) and a real b, T^-1 = -lambda
+    # diag(b) C^T diag(Q / b) = conj(T).  The diagonal 1/(-lambda) carries a
+    # -0.0 imaginary part, which conj flips, so it is compared by value
+    m = make_spectrum(Kind.SKEW_ADJOINT, 2.0, 1.0, 300)
+    cases = [(m, *select_mu(m, base), 300) for base in (2, 25)]
+    sch = _scale32_schedule(Kind.SKEW_ADJOINT, 10)
+    cases.append((sch.model, sch.stages[-1].lam, sch.stages[-1].cert, 128))
+    for model, lam, cert, N in cases:
+        C = build_cauchy(node_table(model, N), lam, cert.dist)
+        H = C.conj().T
+        off = ~np.eye(N, dtype=bool)
+        assert C[off].tobytes() == H[off].tobytes()
+        assert np.array_equal(np.diag(C), np.diag(H))
+        s = assemble(model, lam, N, cert)
+        top = float(np.max(np.abs(s.T_mat)))
+        assert float(np.max(np.abs(s.Tinv_mat - s.T_mat.conj()))) <= 4.0 * transform._EPS * top
 
 
 _SYNTH_ARRAYS = ("b", "k", "T_mat", "Tinv_mat", "tb_residuals", "log_f", "eigenvalues")
@@ -537,7 +611,7 @@ def test_unbounded_control_operator(kind, alpha, beta, base, N):
     mu, cert = select_mu(m, base)
     s = assemble(m, mu, N, cert)
     assert s.tb_residual_max <= 1e-9
-    assert inverse_residual(s) <= 1e-8
+    assert inverse_product_residual(s) <= 1e-8
     assert gain_cross_check(m, mu, N, cert) <= 1.0
     if kind is Kind.SELF_ADJOINT:
         assert all(getattr(s, f).dtype == np.float64 for f in _SYNTH_ARRAYS)
